@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short race cover staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke cluster-smoke failover-smoke fast-smoke ci clean
+.PHONY: all build vet test test-short race cover staticcheck serve-smoke loadgen-smoke explain-smoke chaos-smoke cluster-smoke failover-smoke fast-smoke experiments-check ci clean
 
 all: build
 
@@ -82,6 +82,14 @@ fast-smoke:
 # collapse under exclusive 4-way L2. Requires jq.
 explain-smoke:
 	bash scripts/explain_smoke.sh
+
+# experiments-check enforces the byte-identity gate on the reproduction:
+# EXPERIMENTS.md regenerated by cmd/experiments at the default 2M
+# references must equal the checked-in copy byte for byte.
+experiments-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments > "$$tmp" && \
+	cmp "$$tmp" EXPERIMENTS.md && echo "experiments-check: EXPERIMENTS.md regenerates byte-identical"
 
 # ci is what .github/workflows/ci.yml's test job runs; staticcheck and
 # cover run as separate jobs.

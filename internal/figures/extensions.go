@@ -22,6 +22,7 @@ func (h *Harness) evalVariant(l1KB, l2KB int64, mutate func(*core.Config), opt s
 	w := mustWorkload("gcc1")
 	opt.Refs = h.cfg.Refs
 	opt.Tech = h.cfg.Tech
+	opt.Memo = &h.memo
 	line := opt.LineSize
 	if line == 0 {
 		line = 16
@@ -164,8 +165,7 @@ func (h *Harness) ExtMulticycle() Figure {
 		if c.l2 > 0 {
 			cfg.L2 = cache.Config{Size: c.l2 << 10, LineSize: 16, Assoc: 4}
 		}
-		sys := core.NewSystem(cfg)
-		st := sys.Run(w.Stream(h.cfg.Refs))
+		st := h.simulate(w, cfg)
 
 		l1t := timing.Optimal(h.cfg.Tech, timing.Params{Size: c.l1 << 10, LineSize: 16, Assoc: 1})
 		var l2cyc float64
@@ -246,8 +246,7 @@ func (h *Harness) ExtMissRates() Figure {
 				L1I: cache.Config{Size: kb << 10, LineSize: 16, Assoc: 1},
 				L1D: cache.Config{Size: kb << 10, LineSize: 16, Assoc: 1},
 			}
-			sys := core.NewSystem(cfg)
-			mr := sys.Run(w.Stream(h.cfg.Refs)).L1MissRate()
+			mr := h.simulate(w, cfg).L1MissRate()
 			if kb == 32 {
 				at32 = mr
 			}
@@ -333,16 +332,16 @@ func (h *Harness) ExtSeeds() Figure {
 			L1I: cache.Config{Size: 32 << 10, LineSize: 16, Assoc: 1},
 			L1D: cache.Config{Size: 32 << 10, LineSize: 16, Assoc: 1},
 		}
-		mr := core.NewSystem(mrCfg).Run(w.Stream(h.cfg.Refs)).L1MissRate()
+		mr := h.simulate(w, mrCfg).L1MissRate()
 
 		twoCfg := core.Config{
 			L1I: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
 			L1D: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
 			L2:  cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
 		}
-		conv := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech})
+		conv := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech, Memo: &h.memo})
 		twoCfg.Policy = core.Exclusive
-		excl := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech, Policy: core.Exclusive})
+		excl := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech, Policy: core.Exclusive, Memo: &h.memo})
 
 		wins := excl.TPINS < conv.TPINS
 		stable = stable && wins
@@ -379,8 +378,7 @@ func (h *Harness) ExtBanked() Figure {
 		L1D: cache.Config{Size: 16 << 10, LineSize: 16, Assoc: 1},
 		L2:  cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
 	}
-	sys := core.NewSystem(cfg)
-	st := sys.Run(w.Stream(h.cfg.Refs))
+	st := h.simulate(w, cfg)
 
 	l1p := timing.Params{Size: 16 << 10, LineSize: 16, Assoc: 1, OutputBits: 64, Ports: 1}
 	l1t := timing.Optimal(h.cfg.Tech, l1p)
@@ -458,8 +456,7 @@ func (h *Harness) ExtBoard() Figure {
 	}
 
 	// The 200ns endpoint: no board cache at all.
-	noBoard := core.NewSystem(onChip)
-	stNo := noBoard.Run(w.Stream(h.cfg.Refs))
+	stNo := h.simulate(w, onChip)
 	m200 := bm.Machine
 	m200.OffChipNS = 200
 	f.Rows = append(f.Rows, []string{
@@ -529,13 +526,12 @@ func (h *Harness) ExtWritePolicy() Figure {
 	w := mustWorkload("doduc")
 	var fetches [2]float64
 	for i, mode := range []core.WriteMode{core.WriteBackAllocate, core.WriteThroughNoAllocate} {
-		sys := core.NewSystem(core.Config{
+		st := h.simulate(w, core.Config{
 			L1I:    cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
 			L1D:    cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
 			L2:     cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
 			Writes: mode,
 		})
-		st := sys.Run(w.Stream(h.cfg.Refs))
 		refs := float64(st.Refs())
 		l1dMR := float64(st.L1DMisses) / float64(st.DataRefs)
 		offW := float64(st.WriteBacksOffChip) / refs
@@ -576,7 +572,7 @@ func (h *Harness) ExtStreamBuffer() Figure {
 			L1I: cache.Config{Size: 4 << 10, LineSize: 16, Assoc: 1},
 			L1D: cache.Config{Size: 4 << 10, LineSize: 16, Assoc: 1},
 		}
-		bare := core.NewSystem(bareCfg).Run(w.Stream(h.cfg.Refs)).GlobalMissRate()
+		bare := h.simulate(w, bareCfg).GlobalMissRate()
 
 		vc, err := core.NewVictimCacheSystem(4<<10, 16, 16)
 		if err != nil {
@@ -595,7 +591,7 @@ func (h *Harness) ExtStreamBuffer() Figure {
 		exCfg := bareCfg
 		exCfg.L2 = cache.Config{Size: 32 << 10, LineSize: 16, Assoc: 4}
 		exCfg.Policy = core.Exclusive
-		exMR := core.NewSystem(exCfg).Run(w.Stream(h.cfg.Refs)).GlobalMissRate()
+		exMR := h.simulate(w, exCfg).GlobalMissRate()
 
 		f.Rows = append(f.Rows, []string{
 			name,

@@ -97,9 +97,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Harness generates figures, memoizing design-space sweeps so figures
-// that share a sweep (e.g. Figures 3 and 5) pay for it once.
+// that share a sweep (e.g. Figures 3 and 5) pay for it once. Below that,
+// every simulation the harness runs goes through one stats memo, so
+// sweeps that differ only in pricing (Figs 10–20 re-price the geometries
+// of Figs 5–8) simulate each geometry once. The memo lives and dies with
+// the harness.
 type Harness struct {
 	cfg    Config
+	memo   sweep.Memo
 	mu     sync.Mutex
 	sweeps map[string][]sweep.Point
 	err    error // first sweep failure (e.g. cancellation)
@@ -144,6 +149,7 @@ func (h *Harness) runSweep(w spec.Workload, opt sweep.Options) []sweep.Point {
 	opt.Events = h.cfg.Events
 	opt.Trace = h.cfg.Trace
 	opt.TraceParent = h.cfg.TraceParent
+	opt.Memo = &h.memo
 	pts, err := sweep.RunContext(ctx, w, opt)
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -156,6 +162,17 @@ func (h *Harness) runSweep(w spec.Workload, opt sweep.Options) []sweep.Point {
 	}
 	h.sweeps[key] = pts
 	return pts
+}
+
+// simulate returns cfg's Stats over the harness trace length through the
+// harness's stats memo. It panics on an invalid configuration; the
+// figures build only valid ones.
+func (h *Harness) simulate(w spec.Workload, cfg core.Config) core.Stats {
+	st, err := h.memo.Stats(w, h.cfg.Refs, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return st
 }
 
 // Err reports the first sweep failure the harness has seen (nil when all

@@ -203,3 +203,31 @@ func TestEveryFigureGenerates(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedHarnessMatchesFreshHarness pins the stats memo's contract at
+// the figure level: rendering every figure through one harness, whose
+// memo answers each later figure's repeated geometries, is byte-identical
+// to rendering each figure through a fresh harness that simulates it all.
+func TestSharedHarnessMatchesFreshHarness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full figure sweep in -short mode")
+	}
+	const refs = 10_000
+	render := func(h *Harness, id string) string {
+		f, err := h.ByID(id)
+		if err != nil {
+			t.Fatalf("ByID(%s): %v", id, err)
+		}
+		var sb strings.Builder
+		if err := Render(&sb, f); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	shared := NewHarness(Config{Refs: refs})
+	for _, id := range IDs() {
+		if got, want := render(shared, id), render(NewHarness(Config{Refs: refs}), id); got != want {
+			t.Errorf("%s: shared-harness rendering differs from a fresh harness:\n%s\nwant:\n%s", id, got, want)
+		}
+	}
+}

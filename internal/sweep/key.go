@@ -84,8 +84,8 @@ type PointEvaluator interface {
 // of RunContext (panic recovery, Options.Timeout, Options.Retries,
 // retry events, and the panic/timeout/retry counters on Options.Metrics)
 // without the sweep-level enumeration. The workload trace is generated
-// once, on first use, and replayed for every configuration, exactly as
-// RunContext replays it.
+// once, on the first evaluation that misses Options.Memo, and replayed
+// for every simulated configuration, exactly as RunContext replays it.
 //
 // An Evaluator is safe for concurrent use; internal/service's worker
 // pool shares one per (job, workload).
@@ -93,8 +93,7 @@ type Evaluator struct {
 	w    spec.Workload
 	opt  Options
 	met  *runMetrics
-	once sync.Once
-	refs []trace.Ref
+	refs func() []trace.Ref
 }
 
 var _ PointEvaluator = (*Evaluator)(nil)
@@ -105,7 +104,10 @@ var _ PointEvaluator = (*Evaluator)(nil)
 // enumeration fields are ignored.
 func NewEvaluator(w spec.Workload, opt Options) *Evaluator {
 	opt = opt.withDefaults()
-	return &Evaluator{w: w, opt: opt, met: newRunMetrics(opt.Metrics)}
+	return &Evaluator{
+		w: w, opt: opt, met: newRunMetrics(opt.Metrics),
+		refs: sync.OnceValue(func() []trace.Ref { return trace.Collect(w.Stream(opt.Refs), opt.Refs) }),
+	}
 }
 
 // Workload reports the workload the evaluator replays.
@@ -123,14 +125,13 @@ func (e *Evaluator) Options() Options { return e.opt }
 // returned unwrapped. With Options.Trace set, each call contributes one
 // "config" span (under Options.TraceParent) with its attempt children.
 func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error) {
-	e.once.Do(func() { e.refs = trace.Collect(e.w.Stream(e.opt.Refs), 0) })
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	cs := e.opt.Trace.Start(e.opt.TraceParent, "config",
 		span.Attr{Key: "workload", Value: e.w.Name},
 		span.Attr{Key: "label", Value: Label(cfg)})
-	p, err := evaluateOne(ctx, e.w.Name, e.refs, cfg, e.opt, e.met, cs)
+	p, err := evaluateOne(ctx, e.w, e.refs, cfg, e.opt, e.met, cs)
 	if err != nil {
 		cs.Annotate("error", err.Error())
 	}

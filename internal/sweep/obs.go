@@ -39,6 +39,12 @@ const (
 	MetricConfigSeconds = "sweep_config_seconds"
 	// MetricCheckpointSeconds is the checkpoint-flush latency histogram.
 	MetricCheckpointSeconds = "sweep_checkpoint_flush_seconds"
+	// MetricMemoHits counts evaluation attempts whose Stats came from
+	// Options.Memo, so they were only re-priced.
+	MetricMemoHits = "sweep_stats_memo_hits_total"
+	// MetricMemoMisses counts evaluation attempts that found no Stats in
+	// a non-nil Options.Memo and simulated.
+	MetricMemoMisses = "sweep_stats_memo_misses_total"
 )
 
 // runMetrics is the instrument bundle RunContext updates. Resolving the
@@ -54,6 +60,8 @@ type runMetrics struct {
 	retries     *obs.Counter
 	panics      *obs.Counter
 	timeouts    *obs.Counter
+	memoHits    *obs.Counter
+	memoMisses  *obs.Counter
 	cfgSeconds  *obs.Histogram
 	ckptSeconds *obs.Histogram
 }
@@ -71,6 +79,8 @@ func newRunMetrics(r *obs.Registry) *runMetrics {
 		retries:    r.Counter(MetricRetries),
 		panics:     r.Counter(MetricPanics),
 		timeouts:   r.Counter(MetricTimeouts),
+		memoHits:   r.Counter(MetricMemoHits),
+		memoMisses: r.Counter(MetricMemoMisses),
 		// Configurations run milliseconds to minutes; checkpoint flushes
 		// microseconds to seconds.
 		cfgSeconds:  r.Histogram(MetricConfigSeconds, obs.ExpBuckets(0.001, 2, 24)),

@@ -130,6 +130,9 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		label := Label(cfg)
 		if p, ok := resumed[label]; ok {
 			points[i], have[i] = p, true
+			// A resumed point's Stats are as good as a fresh simulation's,
+			// so later sweeps sharing its stats key only re-price them.
+			opt.Memo.store(newStatsKey(w, opt.Refs, cfg), p.Stats)
 			done++
 			skipped++
 			met.skipped.Inc()
@@ -148,8 +151,10 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		pending = append(pending, job{i, cfg})
 	}
 
+	// The trace is generated on the first memo miss, so a sweep answered
+	// entirely from Options.Memo generates none.
+	refs := sync.OnceValue(func() []trace.Ref { return trace.Collect(w.Stream(opt.Refs), opt.Refs) })
 	if len(pending) > 0 && ctx.Err() == nil {
-		refs := trace.Collect(w.Stream(opt.Refs), 0)
 		met.queueDepth.Set(int64(len(pending)))
 		jobs := make(chan job)
 		var wg sync.WaitGroup
@@ -163,7 +168,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 					opt.Events.Emit(obs.Event{Type: obs.EventConfigStart, Workload: w.Name, Label: label})
 					cs := sw.Child("config", span.Attr{Key: "label", Value: label})
 					start := time.Now()
-					p, err := evaluateOne(ctx, w.Name, refs, j.cfg, opt, met, cs)
+					p, err := evaluateOne(ctx, w, refs, j.cfg, opt, met, cs)
 					dur := time.Since(start)
 					mu.Lock()
 					done++
@@ -268,16 +273,17 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 // failure in a ConfigError. A parent-context cancellation is returned
 // unwrapped (it is a property of the run, not of the configuration).
 // Every attempt appears in the trace as its own child of parent, so
-// retries show up as sibling "attempt" spans.
-func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
+// retries show up as sibling "attempt" spans. refs yields the workload's
+// trace; it is called only when the Stats must be simulated.
+func evaluateOne(ctx context.Context, w spec.Workload, refs func() []trace.Ref, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
 	var err error
 	for attempt := 0; attempt <= opt.Retries; attempt++ {
 		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 		var p Point
-		p, err = evaluateGuarded(ctx, refs, cfg, opt, as)
+		p, err = evaluateGuarded(ctx, w, refs, cfg, opt, met, as)
 		if err == nil {
 			as.End()
-			p.Workload = workload
+			p.Workload = w.Name
 			return p, nil
 		}
 		as.Annotate("error", err.Error())
@@ -301,21 +307,36 @@ func evaluateOne(ctx context.Context, workload string, refs []trace.Ref, cfg cor
 			met.retries.Inc()
 			as.Annotate("retry_cause", cause)
 			opt.Events.Emit(obs.Event{
-				Type: obs.EventConfigRetry, Workload: workload, Label: Label(cfg),
+				Type: obs.EventConfigRetry, Workload: w.Name, Label: Label(cfg),
 				Attempt: attempt + 1, Err: err.Error(),
 			})
 		}
 		as.End()
 	}
-	return Point{}, &ConfigError{Label: Label(cfg), Workload: workload, Cause: err}
+	return Point{}, &ConfigError{Label: Label(cfg), Workload: w.Name, Cause: err}
 }
 
 // evaluateGuarded is one evaluation attempt: panics become errors and the
-// per-configuration timeout is applied. The simulation proper is traced
-// as a "simulate" child of the attempt span (ended even when the
-// evaluation panics, so the trace stays complete).
-func evaluateGuarded(ctx context.Context, refs []trace.Ref, cfg core.Config, opt Options, sp *span.Span) (p Point, err error) {
-	sim := sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.Itoa(len(refs))})
+// per-configuration timeout is applied. The Stats come from Options.Memo
+// when it holds them; otherwise the simulation proper is traced as a
+// "simulate" child of the attempt span (ended even when the evaluation
+// panics, so the trace stays complete) and its Stats are memoized. The
+// attempt span records where its Stats came from as stats=memo or
+// stats=simulated.
+func evaluateGuarded(ctx context.Context, w spec.Workload, refs func() []trace.Ref, cfg core.Config, opt Options, met *runMetrics, sp *span.Span) (p Point, err error) {
+	key := newStatsKey(w, opt.Refs, cfg)
+	stats, hit := opt.Memo.lookup(key)
+	var tr []trace.Ref
+	var sim *span.Span
+	if hit {
+		met.memoHits.Inc()
+	} else {
+		if opt.Memo != nil {
+			met.memoMisses.Inc()
+		}
+		tr = refs()
+		sim = sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.Itoa(len(tr))})
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			err = panicError{v: r}
@@ -333,5 +354,14 @@ func evaluateGuarded(ctx context.Context, refs []trace.Ref, cfg core.Config, opt
 	if err := opt.Chaos.Hit(ChaosSiteEvaluate); err != nil {
 		return Point{}, err
 	}
-	return evaluateStream(ctx, trace.NewSliceStream(refs), cfg, opt)
+	source := "memo"
+	if !hit {
+		if stats, err = simulate(ctx, trace.NewSliceStream(tr), cfg, opt.Metrics); err != nil {
+			return Point{}, err
+		}
+		opt.Memo.store(key, stats)
+		source = "simulated"
+	}
+	sp.Annotate("stats", source)
+	return priceStats(cfg, opt, stats)
 }

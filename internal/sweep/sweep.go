@@ -109,6 +109,12 @@ type Options struct {
 	// and panic-isolation paths against injected faults. Nil (the
 	// default) costs nothing. Fingerprint ignores it.
 	Chaos *chaos.Injector
+	// Memo, when non-nil, memoizes simulated Stats by stats key under
+	// RunContext, Evaluator and Evaluate: a configuration whose geometry
+	// was already simulated over the same workload generator and trace
+	// length is only re-priced. Resumed points seed it. Nil (the default)
+	// simulates every evaluation. Fingerprint and Key ignore it.
+	Memo *Memo
 }
 
 func (o Options) withDefaults() Options {
@@ -263,12 +269,17 @@ func Label(cfg core.Config) string {
 	return fmt.Sprintf("%d:%d", cfg.L1I.Size>>10, cfg.L2.Size>>10)
 }
 
-// Evaluate runs one workload through one configuration and prices it. It
-// panics on an invalid configuration (use RunContext, or Config.Validate
-// first, for untrusted input).
+// Evaluate runs one workload through one configuration and prices it,
+// taking the Stats from Options.Memo when it holds them. It panics on an
+// invalid configuration (use RunContext, or Config.Validate first, for
+// untrusted input).
 func Evaluate(w spec.Workload, cfg core.Config, opt Options) Point {
 	opt = opt.withDefaults()
-	p, err := evaluateStream(context.Background(), w.Stream(opt.Refs), cfg, opt)
+	stats, err := opt.Memo.stats(w, opt.Refs, cfg, opt.Metrics)
+	if err != nil {
+		panic(err)
+	}
+	p, err := priceStats(cfg, opt, stats)
 	if err != nil {
 		panic(err)
 	}
@@ -326,29 +337,34 @@ func PriceConfig(cfg core.Config, opt Options) (perf.Machine, float64, error) {
 	return m, totalArea, nil
 }
 
-// evaluateStream simulates cfg over an explicit reference stream and
-// prices the configuration, honoring ctx cancellation mid-simulation.
-func evaluateStream(ctx context.Context, st trace.Stream, cfg core.Config, opt Options) (Point, error) {
-	m, totalArea, err := PriceConfig(cfg, opt)
-	if err != nil {
-		return Point{}, err
-	}
-
+// simulate runs cfg over an explicit reference stream, honoring ctx
+// cancellation mid-simulation, with the hierarchy instrumented on reg.
+func simulate(ctx context.Context, st trace.Stream, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
 	sys, err := core.TryNewSystem(cfg)
 	if err != nil {
-		return Point{}, err
+		return core.Stats{}, err
 	}
-	sys.Instrument(opt.Metrics)
+	sys.Instrument(reg)
 	cs := &ctxStream{st: st, ctx: ctx}
 	stats := sys.Run(cs)
 	if cs.err != nil {
-		return Point{}, cs.err
+		return core.Stats{}, cs.err
+	}
+	return stats, nil
+}
+
+// priceStats turns simulated Stats into a Point: the area and timing
+// models price cfg under opt and the §2.5 model derives TPI. It is the
+// one pricing path, shared by fresh simulations and memo hits.
+func priceStats(cfg core.Config, opt Options, stats core.Stats) (Point, error) {
+	m, totalArea, err := PriceConfig(cfg, opt)
+	if err != nil {
+		return Point{}, err
 	}
 	tpi, err := m.TimePerInstruction(stats)
 	if err != nil {
 		return Point{}, err
 	}
-
 	return Point{
 		Config:  cfg,
 		Label:   Label(cfg),

@@ -104,9 +104,13 @@ func (l *Limit) Next() (Ref, bool) {
 }
 
 // Collect drains up to max references from s into a slice. A max of 0
-// collects the whole stream.
+// collects the whole stream; a positive max also preallocates the slice
+// to max references, so pass the stream's length when it is known.
 func Collect(s Stream, max uint64) []Ref {
 	var out []Ref
+	if max > 0 {
+		out = make([]Ref, 0, max)
+	}
 	for {
 		if max > 0 && uint64(len(out)) >= max {
 			return out
