@@ -269,6 +269,21 @@ func (c *Cache) Instrument(r *obs.Registry, name string) {
 	c.mDirtyWB = r.Counter(name + "_dirty_writebacks_total")
 }
 
+// Counts is a whole-run tally of the events Instrument counts.
+type Counts struct {
+	Hits, Misses, Evictions, DirtyWritebacks uint64
+}
+
+// AddCounts adds n to the counters Instrument(r, name) wires, for a cache
+// whose run was simulated elsewhere (a replayed L1 stage). Nil-safe like
+// Instrument.
+func AddCounts(r *obs.Registry, name string, n Counts) {
+	r.Counter(name + "_hits_total").Add(n.Hits)
+	r.Counter(name + "_misses_total").Add(n.Misses)
+	r.Counter(name + "_evictions_total").Add(n.Evictions)
+	r.Counter(name + "_dirty_writebacks_total").Add(n.DirtyWritebacks)
+}
+
 // Observe attaches an access observer (nil detaches). The observer sees
 // only demand references (Access, AccessWrite, Lookup) — never refills,
 // victim transfers, or invalidations — so its view is exactly the
@@ -308,6 +323,17 @@ func (c *Cache) Contains(a Addr) bool {
 // ContainsLine is Contains for a pre-computed line address.
 func (c *Cache) ContainsLine(l LineAddr) bool {
 	return c.findWay(c.set(l), l) >= 0
+}
+
+// Frame reports the index (set*Assoc + way) of the frame holding the
+// resident line l, or -1 when l is not resident. A line keeps its frame
+// until it is displaced or invalidated.
+func (c *Cache) Frame(l LineAddr) int {
+	set := c.set(l)
+	if w := c.findWay(set, l); w >= 0 {
+		return set*c.assoc + w
+	}
+	return -1
 }
 
 // Access performs a demand read reference to address a: on a hit it

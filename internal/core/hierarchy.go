@@ -12,6 +12,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"twolevel/internal/cache"
@@ -273,6 +274,12 @@ func TryNewSystem(cfg Config) (*System, error) {
 func (s *System) Instrument(r *obs.Registry) {
 	s.l1i.Instrument(r, "cache_l1i")
 	s.l1d.Instrument(r, "cache_l1d")
+	s.instrumentL2(r)
+}
+
+// instrumentL2 wires the L2 stage's counters: the L2 cache's and the
+// hierarchy's own.
+func (s *System) instrumentL2(r *obs.Registry) {
 	if s.l2 != nil {
 		s.l2.Instrument(r, "cache_l2")
 	}
@@ -309,53 +316,55 @@ func (s *System) ObserveLevels(l1i, l1d, l2 cache.AccessObserver) {
 	}
 }
 
-// Access simulates one reference through the hierarchy.
+// Access simulates one reference through the hierarchy: the L1 stage
+// (the split L1 caches) and, on an L1 miss, the L2 stage (l1Miss), the
+// same method a replay of a recorded L1 stage calls (see Replay).
 func (s *System) Access(r trace.Ref) {
-	var l1 *cache.Cache
-	write := false
-	switch r.Kind {
-	case trace.Instr:
-		s.st.InstrRefs++
+	instr, write := s.st.countRef(r.Kind)
+	l1 := s.l1d
+	if instr {
 		l1 = s.l1i
-	case trace.Write:
-		s.st.DataRefs++
-		s.st.WriteRefs++
-		l1 = s.l1d
-		write = true
-	default:
-		s.st.DataRefs++
-		l1 = s.l1d
 	}
-
+	a := cache.Addr(r.Addr)
 	if write && s.cfg.Writes == WriteThroughNoAllocate {
-		s.accessWriteThrough(l1, cache.Addr(r.Addr))
+		s.accessWriteThrough(l1, a)
 		return
 	}
-
-	if s.cfg.Policy == Exclusive && s.l2 != nil {
-		s.accessExclusive(r, l1, write)
-		return
-	}
-
-	hit, victim := s.accessL1(l1, cache.Addr(r.Addr), write)
-	s.countL1(r.Kind, hit)
-	s.retireL1Victim(victim)
+	hit, victim := accessL1(l1, a, write)
+	s.st.countL1(instr, hit)
 	if hit {
 		return
 	}
+	if s.l1Miss(a, victim) {
+		l1.MarkDirtyLine(l1.Line(a))
+	}
+}
+
+// l1Miss is the L2 stage: it serves an L1 miss on address a, whose
+// allocation in the L1 displaced victim, under the hierarchy's policy.
+// It reports whether the line arrived dirty from the L2 (an exclusive
+// move-up of a dirty line), which the caller must mark on its L1 copy.
+// It touches no L1 cache except under the inclusive policy, whose
+// back-invalidations couple the levels.
+func (s *System) l1Miss(a cache.Addr, victim cache.Victim) (dirtyFromBelow bool) {
 	if s.l2 == nil {
+		s.retireL1Victim(victim)
 		s.st.OffChipFetches++
 		s.mOffChip.Inc()
-		return
+		return false
 	}
-	if s.l2.Lookup(cache.Addr(r.Addr)) {
+	if s.cfg.Policy == Exclusive {
+		return s.missExclusive(a, victim)
+	}
+	s.retireL1Victim(victim)
+	if s.l2.Lookup(a) {
 		s.st.L2Hits++
-		return
+		return false
 	}
 	s.st.L2Misses++
 	s.st.OffChipFetches++
 	s.mOffChip.Inc()
-	v2 := s.l2.Insert(cache.Addr(r.Addr))
+	v2 := s.l2.Insert(a)
 	if v2.Valid && v2.Dirty {
 		s.st.WriteBacksOffChip++
 	}
@@ -365,6 +374,7 @@ func (s *System) Access(r trace.Ref) {
 		s.backInvalidate(s.l1i, v2.Line)
 		s.backInvalidate(s.l1d, v2.Line)
 	}
+	return false
 }
 
 // accessWriteThrough handles a store under the write-through,
@@ -376,7 +386,7 @@ func (s *System) Access(r trace.Ref) {
 // it never triggers a line fetch, so it contributes no OffChipFetches.
 func (s *System) accessWriteThrough(l1 *cache.Cache, a cache.Addr) {
 	hit := l1.Lookup(a)
-	s.countL1(trace.Write, hit)
+	s.st.countL1(false, hit)
 	s.st.WriteThroughs++
 	if s.l2 != nil && s.cfg.Policy != Exclusive && s.l2.MarkDirtyLine(s.l2.Line(a)) {
 		// Absorbed by the L2 copy; its eventual eviction writes back.
@@ -387,7 +397,7 @@ func (s *System) accessWriteThrough(l1 *cache.Cache, a cache.Addr) {
 }
 
 // accessL1 issues a read or write demand reference to an L1 cache.
-func (s *System) accessL1(l1 *cache.Cache, a cache.Addr, write bool) (bool, cache.Victim) {
+func accessL1(l1 *cache.Cache, a cache.Addr, write bool) (bool, cache.Victim) {
 	if write {
 		return l1.AccessWrite(a)
 	}
@@ -421,26 +431,18 @@ func (s *System) backInvalidate(l1 *cache.Cache, l cache.LineAddr) {
 	}
 }
 
-// accessExclusive implements the §8 policy for one reference.
-func (s *System) accessExclusive(r trace.Ref, l1 *cache.Cache, write bool) {
-	addr := cache.Addr(r.Addr)
-	hit, victim := s.accessL1(l1, addr, write)
-	s.countL1(r.Kind, hit)
-	if hit {
-		return
-	}
-	reqLine := l1.Line(addr)
-	if s.l2.Lookup(addr) {
+// missExclusive is the §8 policy's L2 stage for an L1 miss on a.
+func (s *System) missExclusive(a cache.Addr, victim cache.Victim) (dirtyFromBelow bool) {
+	reqLine := s.l2.Line(a)
+	if s.l2.Lookup(a) {
 		s.st.L2Hits++
 		// Move (not copy) the line up: it leaves L2, its dirty state
 		// travelling with it...
-		if _, dirty := s.l2.InvalidateLineState(reqLine); dirty {
-			l1.MarkDirtyLine(reqLine)
-		}
+		_, dirtyFromBelow = s.l2.InvalidateLineState(reqLine)
 		// ...and the L1 victim moves down. When both map to the same L2
 		// set this is the paper's swap (Figure 21-a).
 		s.victimToL2(victim, reqLine, true)
-		return
+		return dirtyFromBelow
 	}
 	s.st.L2Misses++
 	s.st.OffChipFetches++
@@ -448,6 +450,7 @@ func (s *System) accessExclusive(r trace.Ref, l1 *cache.Cache, write bool) {
 	// The requested line is loaded from off-chip directly into L1
 	// (already allocated by the L1 access); only the victim enters L2.
 	s.victimToL2(victim, reqLine, false)
+	return false
 }
 
 // victimToL2 transfers an exclusive L1 victim into the second level,
@@ -476,17 +479,34 @@ func (s *System) sameL2Set(a, b cache.LineAddr) bool {
 	return a&mask == b&mask
 }
 
-// countL1 updates the per-kind L1 counters.
-func (s *System) countL1(k trace.Kind, hit bool) {
-	switch {
-	case k == trace.Instr && hit:
-		s.st.L1IHits++
-	case k == trace.Instr:
-		s.st.L1IMisses++
-	case hit:
-		s.st.L1DHits++
+// countRef counts one reference of kind k and reports whether it goes
+// to the instruction cache and whether it is a store.
+func (st *Stats) countRef(k trace.Kind) (instr, write bool) {
+	switch k {
+	case trace.Instr:
+		st.InstrRefs++
+		return true, false
+	case trace.Write:
+		st.DataRefs++
+		st.WriteRefs++
+		return false, true
 	default:
-		s.st.L1DMisses++
+		st.DataRefs++
+		return false, false
+	}
+}
+
+// countL1 updates the per-cache L1 counters.
+func (st *Stats) countL1(instr, hit bool) {
+	switch {
+	case instr && hit:
+		st.L1IHits++
+	case instr:
+		st.L1IMisses++
+	case hit:
+		st.L1DHits++
+	default:
+		st.L1DMisses++
 	}
 }
 
@@ -500,6 +520,18 @@ func (s *System) Run(st trace.Stream) Stats {
 		}
 		s.Access(r)
 	}
+}
+
+// RunRefs drives the hierarchy over refs and returns the resulting
+// statistics. It checks ctx between chunks of ctxCheckInterval
+// references and returns ctx's error once ctx is done.
+func (s *System) RunRefs(ctx context.Context, refs []trace.Ref) (Stats, error) {
+	err := eachChunk(ctx, refs, func(chunk []trace.Ref) {
+		for _, r := range chunk {
+			s.Access(r)
+		}
+	})
+	return s.st, err
 }
 
 // UniqueOnChipLines reports the number of distinct lines resident across

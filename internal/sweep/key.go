@@ -9,12 +9,10 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"twolevel/internal/core"
 	"twolevel/internal/obs/span"
 	"twolevel/internal/spec"
-	"twolevel/internal/trace"
 )
 
 // SweepKey identifies one (workload, options) sweep: the workload name
@@ -93,7 +91,7 @@ type Evaluator struct {
 	w    spec.Workload
 	opt  Options
 	met  *runMetrics
-	refs func() []trace.Ref
+	refs *lazyTrace
 }
 
 var _ PointEvaluator = (*Evaluator)(nil)
@@ -106,7 +104,7 @@ func NewEvaluator(w spec.Workload, opt Options) *Evaluator {
 	opt = opt.withDefaults()
 	return &Evaluator{
 		w: w, opt: opt, met: newRunMetrics(opt.Metrics),
-		refs: sync.OnceValue(func() []trace.Ref { return trace.Collect(w.Stream(opt.Refs), opt.Refs) }),
+		refs: newLazyTrace(w, opt.Refs),
 	}
 }
 
@@ -131,7 +129,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, cfg core.Config) (Point, error
 	cs := e.opt.Trace.Start(e.opt.TraceParent, "config",
 		span.Attr{Key: "workload", Value: e.w.Name},
 		span.Attr{Key: "label", Value: Label(cfg)})
-	p, err := evaluateOne(ctx, e.w, e.refs, cfg, e.opt, e.met, cs)
+	p, err := evaluateOne(ctx, e.w, e.refs, nil, cfg, e.opt, e.met, cs)
 	if err != nil {
 		cs.Annotate("error", err.Error())
 	}

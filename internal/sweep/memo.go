@@ -7,7 +7,6 @@ package sweep
 // only in those fields simulate each geometry once and re-price it.
 
 import (
-	"context"
 	"sync"
 
 	"twolevel/internal/cache"
@@ -88,10 +87,12 @@ func (m *Memo) stats(w spec.Workload, refs uint64, cfg core.Config, reg *obs.Reg
 	if s, ok := m.lookup(k); ok {
 		return s, nil
 	}
-	s, err := simulate(context.Background(), w.Stream(refs), cfg, reg)
+	sys, err := core.TryNewSystem(cfg)
 	if err != nil {
 		return core.Stats{}, err
 	}
+	sys.Instrument(reg)
+	s := sys.Run(w.Stream(refs))
 	m.store(k, s)
 	return s, nil
 }

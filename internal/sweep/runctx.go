@@ -124,6 +124,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 	type job struct {
 		i   int
 		cfg core.Config
+		l1  *l1Group
 	}
 	var pending []job
 	for i, cfg := range cfgs {
@@ -148,12 +149,19 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 			report(ProgressEvent{Done: done, Total: total, Label: label, Skipped: true})
 			continue
 		}
-		pending = append(pending, job{i, cfg})
+		pending = append(pending, job{i: i, cfg: cfg})
+	}
+	pendingCfgs := make([]core.Config, len(pending))
+	for n, j := range pending {
+		pendingCfgs[n] = j.cfg
+	}
+	for n, g := range newL1Groups(pendingCfgs) {
+		pending[n].l1 = g
 	}
 
 	// The trace is generated on the first memo miss, so a sweep answered
 	// entirely from Options.Memo generates none.
-	refs := sync.OnceValue(func() []trace.Ref { return trace.Collect(w.Stream(opt.Refs), opt.Refs) })
+	refs := newLazyTrace(w, opt.Refs)
 	if len(pending) > 0 && ctx.Err() == nil {
 		met.queueDepth.Set(int64(len(pending)))
 		jobs := make(chan job)
@@ -168,8 +176,9 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 					opt.Events.Emit(obs.Event{Type: obs.EventConfigStart, Workload: w.Name, Label: label})
 					cs := sw.Child("config", span.Attr{Key: "label", Value: label})
 					start := time.Now()
-					p, err := evaluateOne(ctx, w, refs, j.cfg, opt, met, cs)
+					p, err := evaluateOne(ctx, w, refs, j.l1, j.cfg, opt, met, cs)
 					dur := time.Since(start)
+					j.l1.done() // the group's last configuration frees its record
 					mu.Lock()
 					done++
 					switch {
@@ -274,13 +283,14 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 // unwrapped (it is a property of the run, not of the configuration).
 // Every attempt appears in the trace as its own child of parent, so
 // retries show up as sibling "attempt" spans. refs yields the workload's
-// trace; it is called only when the Stats must be simulated.
-func evaluateOne(ctx context.Context, w spec.Workload, refs func() []trace.Ref, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
+// trace; it is read only when the Stats must be simulated. g is cfg's L1
+// group (nil simulates live).
+func evaluateOne(ctx context.Context, w spec.Workload, refs *lazyTrace, g *l1Group, cfg core.Config, opt Options, met *runMetrics, parent *span.Span) (Point, error) {
 	var err error
 	for attempt := 0; attempt <= opt.Retries; attempt++ {
 		as := parent.Child("attempt", span.Attr{Key: "attempt", Value: strconv.Itoa(attempt + 1)})
 		var p Point
-		p, err = evaluateGuarded(ctx, w, refs, cfg, opt, met, as)
+		p, err = evaluateGuarded(ctx, w, refs, g, cfg, opt, met, as)
 		if err == nil {
 			as.End()
 			p.Workload = w.Name
@@ -322,8 +332,9 @@ func evaluateOne(ctx context.Context, w spec.Workload, refs func() []trace.Ref, 
 // "simulate" child of the attempt span (ended even when the evaluation
 // panics, so the trace stays complete) and its Stats are memoized. The
 // attempt span records where its Stats came from as stats=memo or
-// stats=simulated.
-func evaluateGuarded(ctx context.Context, w spec.Workload, refs func() []trace.Ref, cfg core.Config, opt Options, met *runMetrics, sp *span.Span) (p Point, err error) {
+// stats=simulated and, when simulated, where its L1 stage came from as
+// l1=recorded, l1=replayed or l1=live (see simulateIn).
+func evaluateGuarded(ctx context.Context, w spec.Workload, refs *lazyTrace, g *l1Group, cfg core.Config, opt Options, met *runMetrics, sp *span.Span) (p Point, err error) {
 	key := newStatsKey(w, opt.Refs, cfg)
 	stats, hit := opt.Memo.lookup(key)
 	var tr []trace.Ref
@@ -334,7 +345,7 @@ func evaluateGuarded(ctx context.Context, w spec.Workload, refs func() []trace.R
 		if opt.Memo != nil {
 			met.memoMisses.Inc()
 		}
-		tr = refs()
+		tr = refs.get(sp)
 		sim = sp.Child("simulate", span.Attr{Key: "refs", Value: strconv.Itoa(len(tr))})
 	}
 	defer func() {
@@ -356,11 +367,13 @@ func evaluateGuarded(ctx context.Context, w spec.Workload, refs func() []trace.R
 	}
 	source := "memo"
 	if !hit {
-		if stats, err = simulate(ctx, trace.NewSliceStream(tr), cfg, opt.Metrics); err != nil {
+		var l1 string
+		if stats, l1, err = simulateIn(ctx, g, tr, cfg, opt.Metrics, sim); err != nil {
 			return Point{}, err
 		}
 		opt.Memo.store(key, stats)
 		source = "simulated"
+		sp.Annotate("l1", l1)
 	}
 	sp.Annotate("stats", source)
 	return priceStats(cfg, opt, stats)

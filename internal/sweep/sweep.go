@@ -94,10 +94,10 @@ type Options struct {
 	// under RunContext. Nil costs nothing. Fingerprint ignores it.
 	Events *obs.EventLog
 	// Trace, when non-nil, receives a span tree of the run under
-	// RunContext and Evaluator: sweep → config → attempt → {simulate,
-	// checkpoint-flush}, exportable as Chrome trace_event JSON. Nil (the
-	// default) costs nothing — span methods degrade to no-ops.
-	// Fingerprint ignores it.
+	// RunContext and Evaluator: sweep → config → attempt → {trace-gen,
+	// simulate → l1-pass, checkpoint-flush}, exportable as Chrome
+	// trace_event JSON. Nil (the default) costs nothing — span methods
+	// degrade to no-ops. Fingerprint ignores it.
 	Trace *span.Tracer
 	// TraceParent, when non-nil, is the parent under which this sweep's
 	// spans nest (cmd tools hang every sweep below one "run" span; the
@@ -337,20 +337,15 @@ func PriceConfig(cfg core.Config, opt Options) (perf.Machine, float64, error) {
 	return m, totalArea, nil
 }
 
-// simulate runs cfg over an explicit reference stream, honoring ctx
-// cancellation mid-simulation, with the hierarchy instrumented on reg.
-func simulate(ctx context.Context, st trace.Stream, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
+// simulate runs cfg live over refs, honoring ctx cancellation
+// mid-simulation, with the hierarchy instrumented on reg.
+func simulate(ctx context.Context, refs []trace.Ref, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
 	sys, err := core.TryNewSystem(cfg)
 	if err != nil {
 		return core.Stats{}, err
 	}
 	sys.Instrument(reg)
-	cs := &ctxStream{st: st, ctx: ctx}
-	stats := sys.Run(cs)
-	if cs.err != nil {
-		return core.Stats{}, cs.err
-	}
-	return stats, nil
+	return sys.RunRefs(ctx, refs)
 }
 
 // priceStats turns simulated Stats into a Point: the area and timing
@@ -373,31 +368,6 @@ func priceStats(cfg core.Config, opt Options, stats core.Stats) (Point, error) {
 		Machine: m,
 		Stats:   stats,
 	}, nil
-}
-
-// ctxStream wraps a Stream and aborts it (reporting exhaustion) once ctx
-// is done, checking every ctxCheckInterval references so a cancelled
-// simulation stops promptly without a per-reference select.
-type ctxStream struct {
-	st  trace.Stream
-	ctx context.Context
-	n   uint32
-	err error
-}
-
-const ctxCheckInterval = 8192
-
-func (c *ctxStream) Next() (trace.Ref, bool) {
-	if c.n++; c.n >= ctxCheckInterval {
-		c.n = 0
-		select {
-		case <-c.ctx.Done():
-			c.err = c.ctx.Err()
-			return trace.Ref{}, false
-		default:
-		}
-	}
-	return c.st.Next()
 }
 
 // Run evaluates every configuration of the sweep for one workload and
