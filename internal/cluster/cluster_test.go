@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -406,5 +407,46 @@ func TestChaosOnCoordinatorEndpoints(t *testing.T) {
 		}
 	case <-time.After(time.Minute):
 		t.Fatal("worker did not stop")
+	}
+}
+
+// TestRegisterIsSingleFlight: after a coordinator restart the heartbeat
+// loop and every lease loop re-register at once. Overlapping calls must
+// share the register RPC in flight — the coordinator never sees two at
+// a time — and all of them learn the assigned heartbeat interval.
+func TestRegisterIsSingleFlight(t *testing.T) {
+	var mu sync.Mutex
+	inflight, maxInflight := 0, 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		inflight++
+		maxInflight = max(maxInflight, inflight)
+		mu.Unlock()
+		time.Sleep(20 * time.Millisecond) // widen the window for overlap
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		json.NewEncoder(w).Encode(registerResponse{HeartbeatMS: 70}) //nolint:errcheck // test server
+	}))
+	defer srv.Close()
+
+	wk := NewWorker(WorkerConfig{Coordinator: srv.URL, ID: "w-single"})
+	const callers = 8
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() { errs <- wk.register(context.Background()) }()
+	}
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("register: %v", err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if maxInflight != 1 {
+		t.Fatalf("coordinator saw %d concurrent register RPCs, want 1", maxInflight)
+	}
+	if got := wk.heartbeatInterval(); got != 70*time.Millisecond {
+		t.Fatalf("heartbeat interval = %v, want 70ms", got)
 	}
 }

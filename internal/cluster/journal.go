@@ -1,28 +1,25 @@
 package cluster
 
-// This file is the coordinator's crash journal: an append-only
-// CRC32-framed JSONL log of cluster state changes (job admission, lease
-// grant/renew/expiry, completion acceptance) under the same framing
-// discipline as the durable store's segments (service/diskstore.go). A
-// restarted coordinator replays it atop the DiskStore to rebuild the
-// job table and the ready queue, and to mark the leases that were in
-// flight at the crash as orphaned for reconciliation (coordinator.go).
+// This file is the coordinator's crash journal: an append-only log of
+// cluster state changes (job admission, lease grant/renew/expiry,
+// completion acceptance) in internal/wal's framing, the same as the
+// durable store's segments. A restarted coordinator replays it atop the
+// DiskStore to rebuild the job table and the ready queue, and to mark the
+// leases that were in flight at the crash as orphaned for reconciliation
+// (coordinator.go).
 //
-// Durability discipline, mirroring the store:
+// Durability discipline (internal/wal owns the mechanics):
 //
-//   - One record per line, {"crc": <IEEE CRC32 of rec>, "rec": {...}},
-//     fsynced per append. A failed or torn append poisons the journal
-//     (Err goes sticky, /readyz degrades) instead of risking framing on
-//     top of a partial record — the next boot's replay truncates it.
+//   - One wal-framed record per line, fsynced per append. A failed or
+//     torn append poisons the journal (Err goes sticky, /readyz degrades)
+//     instead of risking framing on top of a partial record — the next
+//     boot's replay truncates it.
 //   - Replay truncates a newline-less tail (a torn final record cut off
 //     by a crash) and skips CRC-failing complete lines (silent media
 //     corruption), counting both.
-//   - Compaction is crash-atomic checkpoint+truncate: the live state
-//     (admitted jobs, outstanding leases, the job-id sequence) is
-//     rewritten to a temp file, fsynced, and renamed over the journal,
-//     so renewals and completed work stop accumulating forever. A crash
-//     anywhere during compaction leaves either the old or the new file,
-//     never a mix.
+//   - Compaction is a crash-atomic wal.Rewrite of the live state
+//     (admitted jobs, outstanding leases, the job-id sequence), so
+//     renewals and completed work stop accumulating forever.
 //
 // The journal is ordering-correct by construction: every record is
 // appended under the coordinator's own mutex, so grants precede the
@@ -32,10 +29,9 @@ package cluster
 // lost point.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,6 +43,7 @@ import (
 	"twolevel/internal/chaos"
 	"twolevel/internal/obs"
 	"twolevel/internal/service"
+	"twolevel/internal/wal"
 )
 
 // JournalFormat is the format tag of the journal's header line.
@@ -85,7 +82,7 @@ type journalHeader struct {
 	Seq    int    `json:"seq"`
 }
 
-// journalRecord is the rec payload of one framed line.
+// journalRecord is the record of one framed line.
 type journalRecord struct {
 	Op string `json:"op"`
 
@@ -102,12 +99,6 @@ type journalRecord struct {
 	// complete
 	Key string `json:"key,omitempty"`
 	OK  bool   `json:"ok,omitempty"`
-}
-
-// journalFrame is one framed line: CRC32 (IEEE) over the raw rec bytes.
-type journalFrame struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
 }
 
 // JournalOptions parameterizes OpenJournal.
@@ -275,8 +266,27 @@ func (s *journalState) dropLease(id string) {
 	}
 }
 
-// live counts the records a checkpoint of this state would write.
-func (s *journalState) live() int { return len(s.jobs) + len(s.leases) }
+// checkpoint renders the live state as the records a compaction
+// writes: one admission per live job, then one grant per live lease
+// (its uncompleted keys, sorted), each in first-seen order.
+func (s *journalState) checkpoint() []journalRecord {
+	var recs []journalRecord
+	for _, id := range s.jobOrder {
+		if jw, ok := s.jobs[id]; ok { // ended jobs stay in jobOrder
+			recs = append(recs, journalRecord{Op: journalOpJob, Job: id, Req: jw})
+		}
+	}
+	for _, id := range s.leaseOrder {
+		l := s.leases[id]
+		keys := make([]string, 0, len(l.keys))
+		for k := range l.keys {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		recs = append(recs, journalRecord{Op: journalOpGrant, Lease: id, Worker: l.worker, Keys: keys})
+	}
+	return recs
+}
 
 // jobSeq parses the numeric sequence out of a manager job id ("j17").
 func jobSeq(id string) (int, bool) {
@@ -288,14 +298,13 @@ func jobSeq(id string) (int, bool) {
 // returns one; a nil *Journal is valid and inert, so the coordinator
 // calls the Record* hooks unconditionally.
 type Journal struct {
-	dir  string
 	path string
 	opt  JournalOptions
 	inj  *chaos.Injector
 	met  *journalMetrics
 
 	mu          sync.Mutex
-	f           *os.File
+	f           *wal.File
 	state       *journalState
 	replay      JournalReplay
 	records     int // good records currently framed in the file
@@ -334,7 +343,6 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, error) {
 		return nil, fmt.Errorf("cluster: journal dir: %w", err)
 	}
 	j := &Journal{
-		dir:   dir,
 		path:  filepath.Join(dir, journalFile),
 		opt:   opt,
 		inj:   opt.Chaos,
@@ -350,133 +358,68 @@ func OpenJournal(dir string, opt JournalOptions) (*Journal, error) {
 	return j, nil
 }
 
-// open reads, repairs, and replays the journal file, leaving j.f
-// positioned for appends.
+// open reads, repairs, and replays the journal file, leaving j.f open
+// for appends.
 func (j *Journal) open() error {
-	f, err := os.OpenFile(j.path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
+	l, err := wal.ScanFile(j.path, j.replayLog)
+	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("cluster: opening journal: %w", err)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close() //nolint:errcheck // error path
-		return fmt.Errorf("cluster: journal stat: %w", err)
-	}
-	if info.Size() == 0 {
-		if err := j.writeHeader(f, 0); err != nil {
-			f.Close() //nolint:errcheck // error path
-			return err
-		}
-		j.f = f
-		return nil
-	}
-
-	// Replay. A torn tail (final line without its newline — a record cut
-	// off mid-write by a crash) is truncated; a complete line that fails
-	// JSON or CRC is silent corruption the frame checksum exists to
-	// catch: skipped and counted, replay continues.
-	r := bufio.NewReaderSize(f, 1<<16)
-	var offset int64
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		// The header itself is torn: the crash hit the very first write.
-		// Start the journal over — there were no records to lose.
-		if terr := f.Truncate(0); terr != nil {
-			f.Close() //nolint:errcheck // error path
-			return fmt.Errorf("cluster: repairing torn journal header: %w", terr)
-		}
-		if _, serr := f.Seek(0, 0); serr != nil {
-			f.Close() //nolint:errcheck // error path
-			return fmt.Errorf("cluster: repairing torn journal header: %w", serr)
-		}
+	if l.Torn >= 0 {
+		// The torn final record of a crashed append (or a torn header:
+		// the crash hit the very first write, and there were no records
+		// to lose) was truncated off.
 		j.replay.TornRepaired++
 		j.met.tornRepaired.Inc()
-		if err := j.writeHeader(f, 0); err != nil {
-			f.Close() //nolint:errcheck // error path
+	}
+	if l.Header == nil {
+		if err := j.rewrite(0, nil); err != nil {
 			return err
 		}
-		j.f = f
+	}
+	if j.f, err = wal.Open(j.path, j.inj, ChaosSiteJournalAppend); err != nil {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	j.snapshotReplay()
+	return nil
+}
+
+// replayLog folds a scanned journal into j.state. A complete line that
+// fails JSON or CRC is silent corruption the frame checksum exists to
+// catch: skipped and counted, replay continues.
+func (j *Journal) replayLog(l wal.Log) error {
+	if l.Header == nil {
 		return nil
 	}
 	var hdr journalHeader
-	if jerr := json.Unmarshal(line, &hdr); jerr != nil || hdr.Format != JournalFormat {
-		f.Close() //nolint:errcheck // error path
-		return fmt.Errorf("cluster: %s is not a %s journal", j.path, JournalFormat)
+	if err := json.Unmarshal(l.Header, &hdr); err != nil || hdr.Format != JournalFormat {
+		return fmt.Errorf("%s is not a %s journal", j.path, JournalFormat)
 	}
 	j.state.maxSeq = hdr.Seq
-	offset += int64(len(line))
-
-	for {
-		line, err = r.ReadBytes('\n')
+	for _, line := range l.Records {
+		rec, err := decodeJournalLine(line)
 		if err != nil {
-			if len(line) > 0 {
-				// Newline-less tail at EOF: the torn final record.
-				if terr := f.Truncate(offset); terr != nil {
-					f.Close() //nolint:errcheck // error path
-					return fmt.Errorf("cluster: truncating torn journal tail: %w", terr)
-				}
-				j.replay.TornRepaired++
-				j.met.tornRepaired.Inc()
-			}
-			break
-		}
-		rec, derr := decodeJournalLine(line)
-		if derr != nil {
 			j.replay.CorruptDropped++
 			j.met.corruptDropped.Inc()
-			offset += int64(len(line))
 			continue
 		}
 		j.dead += j.state.apply(rec)
 		j.records++
 		j.replay.Records++
-		offset += int64(len(line))
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close() //nolint:errcheck // error path
-		return fmt.Errorf("cluster: seeking journal end: %w", err)
-	}
-	j.f = f
-	j.snapshotReplay()
 	return nil
 }
 
 // snapshotReplay freezes the replayed live state into j.replay.
 func (j *Journal) snapshotReplay() {
 	j.replay.Seq = j.state.maxSeq
-	for _, id := range j.state.jobOrder {
-		jw, ok := j.state.jobs[id]
-		if !ok {
-			continue
+	for _, rec := range j.state.checkpoint() {
+		if rec.Op == journalOpJob {
+			j.replay.Jobs = append(j.replay.Jobs, JournaledJob{ID: rec.Job, Req: rec.Req.toRequest()})
+		} else {
+			j.replay.Leases = append(j.replay.Leases, JournaledLease{ID: rec.Lease, Worker: rec.Worker, Keys: rec.Keys})
 		}
-		j.replay.Jobs = append(j.replay.Jobs, JournaledJob{ID: id, Req: jw.toRequest()})
 	}
-	for _, id := range j.state.leaseOrder {
-		l, ok := j.state.leases[id]
-		if !ok {
-			continue
-		}
-		keys := make([]string, 0, len(l.keys))
-		for k := range l.keys {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		j.replay.Leases = append(j.replay.Leases, JournaledLease{ID: id, Worker: l.worker, Keys: keys})
-	}
-}
-
-func (j *Journal) writeHeader(f *os.File, seq int) error {
-	b, err := json.Marshal(journalHeader{Format: JournalFormat, Seq: seq})
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("cluster: writing journal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("cluster: syncing journal header: %w", err)
-	}
-	return nil
 }
 
 func encodeJournalLine(rec journalRecord) ([]byte, error) {
@@ -484,26 +427,17 @@ func encodeJournalLine(rec journalRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	line, err := json.Marshal(journalFrame{CRC: crc32.ChecksumIEEE(body), Rec: body})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
+	return wal.Frame(body)
 }
 
 func decodeJournalLine(line []byte) (journalRecord, error) {
-	var fr journalFrame
 	var rec journalRecord
-	if err := json.Unmarshal(line, &fr); err != nil {
+	body, err := wal.Unframe(line)
+	if err != nil {
 		return rec, err
 	}
-	if crc32.ChecksumIEEE(fr.Rec) != fr.CRC {
-		return rec, fmt.Errorf("cluster: journal record crc mismatch")
-	}
-	if err := json.Unmarshal(fr.Rec, &rec); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	err = json.Unmarshal(body, &rec)
+	return rec, err
 }
 
 // Replayed returns what opening the journal recovered. Nil-safe.
@@ -565,8 +499,7 @@ func (j *Journal) Close() error {
 	}
 	j.closed = true
 	if j.f != nil {
-		j.f.Sync()  //nolint:errcheck // appends already synced
-		j.f.Close() //nolint:errcheck // read side done
+		j.f.Close() //nolint:errcheck // appends already synced
 		j.f = nil
 	}
 	return j.err
@@ -626,7 +559,7 @@ func (j *Journal) append(rec journalRecord) {
 		j.failLocked(fmt.Errorf("cluster: encoding journal record: %w", err))
 		return
 	}
-	if _, err := j.inj.Writer(ChaosSiteJournalAppend, j.f).Write(line); err != nil {
+	if _, err := j.f.Append(line); err != nil {
 		// A torn or failed append is crash-equivalent: whatever partial
 		// bytes landed are exactly what replay's torn-tail truncation
 		// repairs. Stop writing instead of framing on top of them.
@@ -670,9 +603,7 @@ func (j *Journal) Compact() error {
 
 // compactLocked rewrites the journal to just its live state: header
 // (carrying the job-id sequence), one admission per live job, one grant
-// per live lease. The rewrite goes to a temp file, is fsynced, and is
-// renamed over the journal — crash-atomic, exactly like the store's
-// segment compaction. Caller holds j.mu.
+// per live lease, via the crash-atomic wal.Rewrite. Caller holds j.mu.
 func (j *Journal) compactLocked() {
 	if err := j.inj.Hit(ChaosSiteJournalCompact); err != nil {
 		// An injected compaction fault aborts the compaction, not the
@@ -680,98 +611,52 @@ func (j *Journal) compactLocked() {
 		j.dead = 0 // don't retrigger on every append
 		return
 	}
-	tmp, err := os.CreateTemp(j.dir, "journal-compact-*.tmp")
-	if err != nil {
-		j.failLocked(fmt.Errorf("cluster: journal compact: %w", err))
+	recs := j.state.checkpoint()
+	if err := j.rewrite(j.state.maxSeq, recs); err != nil {
+		j.failLocked(err)
 		return
 	}
-	defer os.Remove(tmp.Name()) //nolint:errcheck // no-op after rename
-	w := bufio.NewWriter(tmp)
-	hdr, err := json.Marshal(journalHeader{Format: JournalFormat, Seq: j.state.maxSeq})
-	if err == nil {
-		_, err = w.Write(append(hdr, '\n'))
-	}
-	records := 0
-	if err == nil {
-		for _, id := range j.state.jobOrder {
-			jw, ok := j.state.jobs[id]
-			if !ok {
-				continue
-			}
-			line, lerr := encodeJournalLine(journalRecord{Op: journalOpJob, Job: id, Req: jw})
-			if lerr == nil {
-				_, lerr = w.Write(line)
-			}
-			if lerr != nil {
-				err = lerr
-				break
-			}
-			records++
-		}
-	}
-	if err == nil {
-		for _, id := range j.state.leaseOrder {
-			l, ok := j.state.leases[id]
-			if !ok {
-				continue
-			}
-			keys := make([]string, 0, len(l.keys))
-			for k := range l.keys {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			line, lerr := encodeJournalLine(journalRecord{Op: journalOpGrant, Lease: id, Worker: l.worker, Keys: keys})
-			if lerr == nil {
-				_, lerr = w.Write(line)
-			}
-			if lerr != nil {
-				err = lerr
-				break
-			}
-			records++
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		j.failLocked(fmt.Errorf("cluster: journal compact: %w", err))
-		return
-	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		j.failLocked(fmt.Errorf("cluster: journal compact rename: %w", err))
-		return
-	}
-	syncJournalDir(j.dir)
 	// Swap the append handle onto the compacted file.
-	j.f.Close() //nolint:errcheck // replaced by rename
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	j.f.Close() //nolint:errcheck // replaced by the rename
+	f, err := wal.Open(j.path, j.inj, ChaosSiteJournalAppend)
 	if err != nil {
 		j.f = nil
 		j.failLocked(fmt.Errorf("cluster: reopening compacted journal: %w", err))
 		return
 	}
 	j.f = f
-	j.records = records
+	j.records = len(recs)
 	j.dead = 0
 	j.compactions++
 	j.met.compactions.Inc()
 	j.lastCompact = time.Now()
 }
 
-// syncJournalDir best-effort fsyncs the journal directory so the
-// compaction rename is durable.
-func syncJournalDir(dir string) {
-	d, err := os.Open(dir)
+// rewrite crash-atomically replaces the journal with a header carrying
+// seq followed by recs. Caller holds j.mu (or has exclusive access
+// during open).
+func (j *Journal) rewrite(seq int, recs []journalRecord) error {
+	hdr, err := json.Marshal(journalHeader{Format: JournalFormat, Seq: seq})
 	if err != nil {
-		return
+		return err
 	}
-	d.Sync()  //nolint:errcheck // best-effort
-	d.Close() //nolint:errcheck // read side
+	err = wal.Rewrite(j.path, func(w io.Writer) error {
+		if _, err := w.Write(append(hdr, '\n')); err != nil {
+			return err
+		}
+		for _, rec := range recs {
+			line, err := encodeJournalLine(rec)
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: writing journal: %w", err)
+	}
+	return nil
 }

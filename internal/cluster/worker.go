@@ -128,7 +128,12 @@ type Worker struct {
 	met *workerMetrics
 	inj *chaos.Injector
 
-	heartbeat time.Duration // from registration
+	// Registration has one path: at most one register RPC is in flight,
+	// and callers that arrive meanwhile wait for its outcome. regMu
+	// guards reg and the heartbeat interval the last registration set.
+	regMu     sync.Mutex
+	reg       *registration
+	heartbeat time.Duration
 
 	// registered and liveLoops back Ready: the /readyz probe answers
 	// ready once registration succeeded and every lease loop is running.
@@ -366,6 +371,13 @@ func (w *Worker) Run(ctx context.Context) error {
 	return nil
 }
 
+// registration is one register RPC in flight; err is its outcome,
+// readable once done is closed.
+type registration struct {
+	done chan struct{}
+	err  error
+}
+
 // register announces the worker, retrying with backoff until ctx is
 // done, and learns the heartbeat interval.
 func (w *Worker) register(ctx context.Context) error {
@@ -373,17 +385,7 @@ func (w *Worker) register(ctx context.Context) error {
 	for {
 		err := w.inj.Hit(ChaosSiteWorkerRegister)
 		if err == nil {
-			var resp registerResponse
-			// Every registration — first boot or a 404-triggered re-register
-			// — reports the keys in flight, so a restarted coordinator
-			// reclaims its journal-replayed orphans immediately.
-			_, err = w.post(ctx, "/cluster/v1/register",
-				registerRequest{ID: w.cfg.ID, InflightKeys: w.inflightKeys()}, &resp)
-			if err == nil {
-				w.heartbeat = time.Duration(resp.HeartbeatMS) * time.Millisecond
-				if w.heartbeat <= 0 {
-					w.heartbeat = 2 * time.Second
-				}
+			if err = w.registerOnce(ctx); err == nil {
 				return nil
 			}
 		}
@@ -399,17 +401,67 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
+// registerOnce sends one register RPC, or, when one is already in
+// flight (the heartbeat loop and every lease loop see the same 404 after
+// a coordinator restart), waits for that one and shares its outcome.
+func (w *Worker) registerOnce(ctx context.Context) error {
+	w.regMu.Lock()
+	if r := w.reg; r != nil {
+		w.regMu.Unlock()
+		select {
+		case <-r.done:
+			return r.err
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	r := &registration{done: make(chan struct{})}
+	w.reg = r
+	w.regMu.Unlock()
+
+	// Every registration — first boot, a 404-triggered re-register, or a
+	// reconnect probe — reports the keys in flight, so a restarted
+	// coordinator reclaims its journal-replayed orphans immediately.
+	var resp registerResponse
+	_, r.err = w.post(ctx, "/cluster/v1/register",
+		registerRequest{ID: w.cfg.ID, InflightKeys: w.inflightKeys()}, &resp)
+
+	w.regMu.Lock()
+	if r.err == nil {
+		w.heartbeat = time.Duration(resp.HeartbeatMS) * time.Millisecond
+		if w.heartbeat <= 0 {
+			w.heartbeat = 2 * time.Second
+		}
+	}
+	w.reg = nil
+	w.regMu.Unlock()
+	close(r.done)
+	return r.err
+}
+
+// heartbeatInterval reports the interval the last registration set.
+func (w *Worker) heartbeatInterval() time.Duration {
+	w.regMu.Lock()
+	defer w.regMu.Unlock()
+	return w.heartbeat
+}
+
 // heartbeatLoop beats at the coordinator-assigned interval. A 404 means
 // the coordinator no longer knows us (restart, or we were declared
 // dead): re-register and carry on.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
-	t := time.NewTicker(w.heartbeat)
+	interval := w.heartbeatInterval()
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
+		}
+		if d := w.heartbeatInterval(); d != interval {
+			interval = d // a re-registration changed it
+			t.Reset(d)
 		}
 		if w.circuitState() != circuitClosed {
 			continue // outage: the reconnect loop owns coordinator contact
@@ -488,9 +540,7 @@ func (w *Worker) reconnectLoop(ctx context.Context) {
 // then flush the buffer oldest-first. Any failure aborts the probe; the
 // flushed prefix stays flushed (safe — completion is idempotent).
 func (w *Worker) reconnect(ctx context.Context) error {
-	var resp registerResponse
-	if _, err := w.post(ctx, "/cluster/v1/register",
-		registerRequest{ID: w.cfg.ID, InflightKeys: w.inflightKeys()}, &resp); err != nil {
+	if err := w.registerOnce(ctx); err != nil {
 		return err
 	}
 	for {

@@ -1,43 +1,38 @@
 package service
 
 // This file implements DiskStore, the crash-safe durable result store:
-// the same Store contract as MemStore, backed by append-only JSONL
-// segment files so a kill -9 and restart replays to the identical
-// memoized state.
+// the same Store contract as MemStore, backed by an append-only JSONL
+// log so a kill -9 and restart replays to the identical memoized state.
+// The log mechanics (record framing, torn-tail repair, crash-atomic
+// rewrite) are internal/wal's; this file is the record schema and the
+// store's failure policy.
 //
 // Layout and guarantees:
 //
-//   - The store directory holds numbered segments (seg-000001.jsonl,
-//     seg-000002.jsonl, ...). Exactly the highest-numbered segment is
-//     active (appended to); lower ones are sealed and immutable.
-//   - Every segment starts with a header line naming the format, then
-//     one record per line: {"crc": <IEEE CRC32>, "rec": {"key": ...,
-//     "point": <persisted twolevel-sweep/1 point>}}, with the checksum
-//     taken over the exact bytes of "rec".
+//   - The store directory holds one segment, seg-NNNNNN.jsonl. Its first
+//     line names the format; every later line is one wal-framed record
+//     {"key": ..., "point": <persisted twolevel-sweep/1 point>}.
+//     Directories written before rotation was removed may hold several
+//     segments: they replay in ascending order, last record wins, and
+//     appends go to the highest.
 //   - Appends are fsynced (every DiskStoreOptions.SyncEvery records, 1
 //     by default), so a completed Put survives power loss.
 //   - On open, records with a failing checksum or unparsable body are
 //     dropped and counted (Stats().CorruptDropped) — the affected key
 //     is simply re-evaluated on next use. A torn final record (a
 //     newline-less tail, the signature of a crash mid-append) is
-//     truncated off the active segment so it is append-safe again.
-//   - When the active segment outgrows SegmentBytes it is sealed and a
-//     new one started. Once enough overwritten (dead) records
-//     accumulate, sealed segments are compacted in the background:
-//     the live snapshot is written to a temp file, fsynced, and
-//     atomically renamed over the highest sealed segment, then the
-//     lower ones are deleted. Replay order (ascending segment, then
-//     line order, last record wins) is preserved throughout.
+//     truncated off so the segment is append-safe again.
+//   - Once enough overwritten (dead) records accumulate, a Put compacts
+//     in place under the store lock: the live map is rewritten
+//     crash-atomically over the highest segment, which is reopened, and
+//     the lower segments are deleted.
 //
 // DiskStore keeps the full point map in memory — disk is durability,
 // not capacity — so Get/Points serve at MemStore speed.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -46,6 +41,7 @@ import (
 
 	"twolevel/internal/chaos"
 	"twolevel/internal/sweep"
+	"twolevel/internal/wal"
 )
 
 // segmentFormat identifies the segment-file schema version.
@@ -73,15 +69,11 @@ const (
 // DiskStoreOptions tunes a DiskStore. The zero value selects the
 // defaults noted on each field.
 type DiskStoreOptions struct {
-	// SegmentBytes seals the active segment once it grows past this
-	// size (default 4MB).
-	SegmentBytes int64
 	// SyncEvery is the fsync cadence in records (default 1: every
 	// append reaches stable storage before Put returns).
 	SyncEvery int
-	// CompactMinDead is how many overwritten records may accumulate in
-	// sealed segments before a background compaction pass reclaims them
-	// (default 1024).
+	// CompactMinDead is how many overwritten records may accumulate
+	// before a Put compacts the segment (default 1024).
 	CompactMinDead int
 	// Chaos, when non-nil, fires at the ChaosSiteStore* sites so tests
 	// can inject append failures, torn writes, and corrupted bytes. Nil
@@ -90,9 +82,6 @@ type DiskStoreOptions struct {
 }
 
 func (o DiskStoreOptions) withDefaults() DiskStoreOptions {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 4 << 20
-	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 1
 	}
@@ -106,8 +95,8 @@ func (o DiskStoreOptions) withDefaults() DiskStoreOptions {
 type DiskStoreStats struct {
 	// Points is the number of live memoized points.
 	Points int
-	// Segments is the number of segment files (including the active
-	// one).
+	// Segments is the number of segment files: 1, or more for a legacy
+	// directory not yet compacted.
 	Segments int
 	// Dead counts records superseded by a later Put and not yet
 	// compacted away.
@@ -117,7 +106,7 @@ type DiskStoreStats struct {
 	CorruptDropped int
 	// TornRepaired counts torn final records truncated off at open.
 	TornRepaired int
-	// Compactions counts completed background compaction passes.
+	// Compactions counts completed compaction passes.
 	Compactions int
 }
 
@@ -125,12 +114,6 @@ type DiskStoreStats struct {
 type segHeader struct {
 	Format  string `json:"format"`
 	Segment int    `json:"segment"`
-}
-
-// segRecord is one framed record line.
-type segRecord struct {
-	CRC uint32          `json:"crc"`
-	Rec json.RawMessage `json:"rec"`
 }
 
 // recBody is the checksummed payload of a record.
@@ -148,17 +131,13 @@ type DiskStore struct {
 
 	mu        sync.Mutex
 	m         map[string]sweep.Point
-	seg       *os.File // active segment (nil once persistence has failed hard)
+	seg       *wal.File // highest segment (nil once persistence has failed hard)
 	segN      int
-	segBytes  int64
 	sinceSync int
 	dead      int
 	stats     DiskStoreStats
 	err       error // first persistence failure, sticky
 	closed    bool
-
-	compacting bool
-	compactWG  sync.WaitGroup
 }
 
 // OpenDiskStore opens (creating if needed) a durable result store in
@@ -171,54 +150,37 @@ func OpenDiskStore(dir string, opt DiskStoreOptions) (*DiskStore, error) {
 		return nil, fmt.Errorf("service: store dir: %w", err)
 	}
 	s := &DiskStore{
-		dir: dir,
-		opt: opt,
-		inj: opt.Chaos,
-		m:   make(map[string]sweep.Point),
+		dir:  dir,
+		opt:  opt,
+		inj:  opt.Chaos,
+		m:    make(map[string]sweep.Point),
+		segN: 1,
 	}
 	segs, err := s.listSegments()
 	if err != nil {
 		return nil, err
 	}
-	for i, n := range segs {
-		if err := s.replaySegment(n, i == len(segs)-1); err != nil {
+	headerless := true // a new, empty or torn-header highest segment
+	for _, n := range segs {
+		l, err := wal.ScanFile(s.segPath(n), s.replay)
+		if err != nil {
+			return nil, fmt.Errorf("service: segment %d: %w", n, err)
+		}
+		if l.Torn >= 0 {
+			s.stats.TornRepaired++
+		}
+		s.segN, headerless = n, l.Header == nil
+	}
+	if headerless {
+		if err := s.rewrite(nil); err != nil {
 			return nil, err
 		}
 	}
-	if len(segs) == 0 {
-		if err := s.startSegment(1); err != nil {
-			return nil, err
-		}
-	} else {
-		last := segs[len(segs)-1]
-		f, err := os.OpenFile(s.segPath(last), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("service: opening active segment: %w", err)
-		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("service: active segment: %w", err)
-		}
-		s.seg, s.segN, s.segBytes = f, last, st.Size()
-		if st.Size() == 0 {
-			// The torn-tail repair can leave a fully-truncated active
-			// segment; restore its header.
-			if err := s.writeHeader(); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
+	if s.seg, err = wal.Open(s.segPath(s.segN), s.inj, ChaosSiteStoreWrite); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	s.stats.Segments = countSegments(segs)
+	s.stats.Segments = max(len(segs), 1)
 	return s, nil
-}
-
-func countSegments(segs []int) int {
-	if len(segs) == 0 {
-		return 1
-	}
-	return len(segs)
 }
 
 func (s *DiskStore) segPath(n int) string {
@@ -242,76 +204,21 @@ func (s *DiskStore) listSegments() ([]int, error) {
 	return segs, nil
 }
 
-// replaySegment loads one segment into the memory map. Only the final
-// segment may carry a torn tail; it is truncated off in place.
-func (s *DiskStore) replaySegment(n int, final bool) error {
-	path := s.segPath(n)
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("service: opening segment: %w", err)
-	}
-	torn, err := s.replayFrom(f, n, final)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	if torn >= 0 {
-		if err := os.Truncate(path, torn); err != nil {
-			return fmt.Errorf("service: repairing torn segment tail: %w", err)
-		}
-		s.stats.TornRepaired++
-	}
-	return nil
-}
-
-// replayFrom reads one segment stream, returning the offset of a torn
-// final record to truncate (-1 for a clean tail).
-func (s *DiskStore) replayFrom(r io.Reader, n int, final bool) (int64, error) {
-	br := bufio.NewReaderSize(r, 64*1024)
-	var off int64
-
-	hdrLine, rerr := br.ReadBytes('\n')
-	if rerr != nil && rerr != io.EOF {
-		return -1, fmt.Errorf("service: reading segment %d: %w", n, rerr)
-	}
-	if len(hdrLine) == 0 {
-		return -1, nil // empty file: a fresh active segment
-	}
-	if rerr == io.EOF || hdrLine[len(hdrLine)-1] != '\n' {
-		if final {
-			return 0, nil // torn header: truncate the whole segment
-		}
-		return -1, fmt.Errorf("service: segment %d: torn header in sealed segment", n)
+// replay loads one scanned segment into the memory map. A segment with
+// no complete line holds no records.
+func (s *DiskStore) replay(l wal.Log) error {
+	if l.Header == nil {
+		return nil
 	}
 	var hdr segHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return -1, fmt.Errorf("service: segment %d header: %w", n, err)
+	if err := json.Unmarshal(l.Header, &hdr); err != nil {
+		return fmt.Errorf("header: %w", err)
 	}
 	if hdr.Format != segmentFormat {
-		return -1, fmt.Errorf("service: segment %d: unknown format %q (want %q)", n, hdr.Format, segmentFormat)
+		return fmt.Errorf("unknown format %q (want %q)", hdr.Format, segmentFormat)
 	}
-	off += int64(len(hdrLine))
-
-	for {
-		raw, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return -1, fmt.Errorf("service: reading segment %d: %w", n, rerr)
-		}
-		if len(raw) == 0 {
-			return -1, nil
-		}
-		start := off
-		off += int64(len(raw))
-		if raw[len(raw)-1] != '\n' {
-			// A newline-less tail only occurs at EOF: the torn final
-			// record of a crashed append.
-			if final {
-				return start, nil
-			}
-			s.stats.CorruptDropped++
-			return -1, nil
-		}
-		key, p, err := decodeRecord(bytes.TrimSuffix(raw, []byte("\n")))
+	for _, line := range l.Records {
+		key, p, err := decodeRecord(line)
 		if err != nil {
 			// Checksum or parse failure: this key was not durably
 			// stored; drop it and let the next job re-evaluate it.
@@ -323,19 +230,17 @@ func (s *DiskStore) replayFrom(r io.Reader, n int, final bool) (int64, error) {
 		}
 		s.m[key] = p
 	}
+	return nil
 }
 
 // decodeRecord verifies and unpacks one record line.
 func decodeRecord(line []byte) (string, sweep.Point, error) {
-	var rec segRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
+	rec, err := wal.Unframe(line)
+	if err != nil {
 		return "", sweep.Point{}, err
 	}
-	if got := crc32.ChecksumIEEE(rec.Rec); got != rec.CRC {
-		return "", sweep.Point{}, fmt.Errorf("service: record checksum %08x, want %08x", got, rec.CRC)
-	}
 	var body recBody
-	if err := json.Unmarshal(rec.Rec, &body); err != nil {
+	if err := json.Unmarshal(rec, &body); err != nil {
 		return "", sweep.Point{}, err
 	}
 	if body.Key == "" {
@@ -358,49 +263,41 @@ func encodeRecord(key string, p sweep.Point) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	line, err := json.Marshal(segRecord{CRC: crc32.ChecksumIEEE(body), Rec: body})
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
+	return wal.Frame(body)
 }
 
-// startSegment creates and activates segment n. Caller holds s.mu (or
+// rewrite crash-atomically replaces the highest segment with its header
+// plus one record per key of live, in key order. Caller holds s.mu (or
 // has exclusive access during open).
-func (s *DiskStore) startSegment(n int) error {
-	f, err := os.OpenFile(s.segPath(n), os.O_WRONLY|os.O_CREATE|os.O_APPEND|os.O_EXCL, 0o644)
+func (s *DiskStore) rewrite(live map[string]sweep.Point) error {
+	hdr, err := json.Marshal(segHeader{Format: segmentFormat, Segment: s.segN})
 	if err != nil {
-		return fmt.Errorf("service: creating segment: %w", err)
-	}
-	s.seg, s.segN, s.segBytes = f, n, 0
-	if err := s.writeHeader(); err != nil {
 		return err
 	}
-	syncDir(s.dir)
+	keys := make([]string, 0, len(live))
+	for k := range live {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	err = wal.Rewrite(s.segPath(s.segN), func(w io.Writer) error {
+		if _, err := w.Write(append(hdr, '\n')); err != nil {
+			return err
+		}
+		for _, k := range keys {
+			line, err := encodeRecord(k, live[k])
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("service: writing segment %d: %w", s.segN, err)
+	}
 	return nil
-}
-
-// writeHeader writes the active segment's header line.
-func (s *DiskStore) writeHeader() error {
-	b, err := json.Marshal(segHeader{Format: segmentFormat, Segment: s.segN})
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if _, err := s.seg.Write(b); err != nil {
-		return fmt.Errorf("service: segment header: %w", err)
-	}
-	s.segBytes += int64(len(b))
-	return s.seg.Sync()
-}
-
-// syncDir best-effort fsyncs a directory so renames and creates are
-// durable.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() //nolint:errcheck // advisory; data writes carry their own fsync
-		d.Close()
-	}
 }
 
 // Get returns the stored point for key, if any.
@@ -455,29 +352,23 @@ func (s *DiskStore) Put(key string, p sweep.Point) {
 		s.fail(fmt.Errorf("service: appending record: %w", err))
 		return
 	}
-	w := s.inj.Writer(ChaosSiteStoreWrite, s.seg)
-	n, err := w.Write(line)
-	if err != nil {
+	if n, err := s.seg.Append(line); err != nil {
+		// A partial record that reached the file is cut back off so the
+		// segment stays append-safe. If the repair itself fails (or chaos
+		// says the crash landed first), the torn bytes are the segment's
+		// final record for open-time recovery to truncate — so the
+		// segment must be retired NOW: one more append would glue onto
+		// the newline-less tail and corrupt a good record.
+		if n > 0 && s.inj.Hit(ChaosSiteStoreRepair) == nil && s.seg.Repair() == nil {
+			return // repaired: the segment is clean again
+		}
 		s.fail(fmt.Errorf("service: appending record: %w", err))
 		if n > 0 {
-			// A partial record reached the file; cut it back off so the
-			// segment stays append-safe. If the repair itself fails (or
-			// chaos says the crash landed first), the torn bytes are the
-			// segment's final record for open-time recovery to truncate —
-			// so the segment must be retired NOW: one more append would
-			// glue onto the newline-less tail and corrupt a good record.
-			if rerr := s.inj.Hit(ChaosSiteStoreRepair); rerr == nil {
-				if terr := s.seg.Truncate(s.segBytes); terr == nil {
-					s.err = nil // repaired: the segment is clean again
-					return
-				}
-			}
 			s.seg.Close() //nolint:errcheck // already failed; memory keeps serving
 			s.seg = nil
 		}
 		return
 	}
-	s.segBytes += int64(n)
 	if s.sinceSync++; s.sinceSync >= s.opt.SyncEvery {
 		s.sinceSync = 0
 		if err := s.inj.Hit(ChaosSiteStoreSync); err != nil {
@@ -486,13 +377,8 @@ func (s *DiskStore) Put(key string, p sweep.Point) {
 			s.fail(fmt.Errorf("service: fsync: %w", err))
 		}
 	}
-	if s.segBytes >= s.opt.SegmentBytes {
-		s.rotateLocked()
-	}
-	if s.dead >= s.opt.CompactMinDead && !s.compacting {
-		s.compacting = true
-		s.compactWG.Add(1)
-		go s.compact()
+	if s.dead >= s.opt.CompactMinDead && s.err == nil {
+		s.compactLocked() //nolint:errcheck // recorded in s.err
 	}
 }
 
@@ -525,161 +411,70 @@ func (s *DiskStore) Stats() DiskStoreStats {
 // Dir reports the store directory.
 func (s *DiskStore) Dir() string { return s.dir }
 
-// rotateLocked seals the active segment and starts the next one.
-// Caller holds s.mu.
-func (s *DiskStore) rotateLocked() {
-	if err := s.seg.Sync(); err != nil {
-		s.fail(fmt.Errorf("service: sealing segment: %w", err))
-	}
-	if err := s.seg.Close(); err != nil {
-		s.fail(fmt.Errorf("service: sealing segment: %w", err))
-	}
-	s.sinceSync = 0
-	if err := s.startSegment(s.segN + 1); err != nil {
-		s.fail(err)
-		s.seg = nil // persistence is over; memory keeps serving
-		return
-	}
-	s.stats.Segments++
-}
-
-// Compact synchronously runs one compaction pass (the background
-// trigger calls the same machinery). It rewrites every sealed segment
-// into one snapshot segment via write-temp-then-rename, dropping dead
-// records, and deletes the superseded segments.
+// Compact runs one compaction pass now. A Put that reaches
+// CompactMinDead dead records runs the same pass, unless an earlier
+// persistence failure is on record. Get, Put and the other methods wait
+// for it.
 func (s *DiskStore) Compact() error {
 	s.mu.Lock()
-	if s.compacting || s.closed || s.seg == nil {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closed || s.seg == nil {
 		return nil
 	}
-	s.compacting = true
-	s.compactWG.Add(1)
-	s.mu.Unlock()
-	return s.compactOnce()
+	return s.compactLocked()
 }
 
-// compact is the background compaction goroutine body.
-func (s *DiskStore) compact() {
-	s.compactOnce() //nolint:errcheck // recorded in s.err
-}
-
-// compactOnce rewrites the sealed segments into one. On any failure the
-// old segments are left in place (replay order makes the attempt
-// invisible).
-func (s *DiskStore) compactOnce() error {
-	defer s.compactWG.Done()
-	finish := func(err error) error {
-		s.mu.Lock()
-		s.compacting = false
-		if err != nil {
-			s.fail(err)
-		} else {
-			s.stats.Compactions++
-		}
-		s.mu.Unlock()
+// compactLocked rewrites the live map over the highest segment, reopens
+// it for appends, and deletes the lower segments. A crash before the
+// rewrite's rename leaves the old segments; one after it leaves the
+// snapshot, which replays last and so wins over any lower segment not
+// yet deleted. Caller holds s.mu.
+func (s *DiskStore) compactLocked() error {
+	err := s.inj.Hit(ChaosSiteStoreCompact)
+	if err == nil {
+		err = s.rewrite(s.m)
+	}
+	if err != nil {
+		err = fmt.Errorf("service: compaction: %w", err)
+		s.fail(err)
 		return err
 	}
-	if err := s.inj.Hit(ChaosSiteStoreCompact); err != nil {
-		return finish(fmt.Errorf("service: compaction: %w", err))
+	s.seg.Close() //nolint:errcheck // replaced by the rename
+	if s.seg, err = wal.Open(s.segPath(s.segN), s.inj, ChaosSiteStoreWrite); err != nil {
+		err = fmt.Errorf("service: compaction: %w", err)
+		s.fail(err)
+		return err
 	}
-
-	// Seal the active segment so every record to compact lives in an
-	// immutable file, then snapshot the live map. Concurrent Puts land
-	// in the new active segment, which replays after the snapshot.
-	s.mu.Lock()
-	if s.closed || s.seg == nil {
-		s.mu.Unlock()
-		return finish(nil)
-	}
-	s.rotateLocked()
-	if s.seg == nil {
-		s.mu.Unlock()
-		return finish(fmt.Errorf("service: compaction: could not rotate"))
-	}
-	snap := make(map[string]sweep.Point, len(s.m))
-	for k, v := range s.m {
-		snap[k] = v
-	}
-	outN := s.segN - 1 // the snapshot replaces the highest sealed segment
-	deadAtSnap := s.dead
-	s.mu.Unlock()
-
-	tmp, err := os.CreateTemp(s.dir, "compact-*.tmp")
+	segs, err := s.listSegments()
 	if err != nil {
-		return finish(fmt.Errorf("service: compaction: %w", err))
+		s.fail(err)
+		return err
 	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriterSize(tmp, 256*1024)
-	hdr, err := json.Marshal(segHeader{Format: segmentFormat, Segment: outN})
-	if err != nil {
-		tmp.Close()
-		return finish(err)
-	}
-	bw.Write(append(hdr, '\n')) //nolint:errcheck // surfaced by Flush below
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		line, err := encodeRecord(k, snap[k])
-		if err != nil {
-			tmp.Close()
-			return finish(fmt.Errorf("service: compaction: %w", err))
-		}
-		if _, err := bw.Write(line); err != nil {
-			tmp.Close()
-			return finish(fmt.Errorf("service: compaction: %w", err))
+	for _, n := range segs {
+		if n < s.segN {
+			if err := os.Remove(s.segPath(n)); err != nil && !os.IsNotExist(err) {
+				err = fmt.Errorf("service: compaction: removing segment %d: %w", n, err)
+				s.fail(err)
+				return err
+			}
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	if err := os.Rename(tmp.Name(), s.segPath(outN)); err != nil {
-		return finish(fmt.Errorf("service: compaction: %w", err))
-	}
-	syncDir(s.dir)
-	for n := outN - 1; n >= 1; n-- {
-		if err := os.Remove(s.segPath(n)); err != nil && !os.IsNotExist(err) {
-			return finish(fmt.Errorf("service: compaction: removing segment %d: %w", n, err))
-		}
-	}
-
-	s.mu.Lock()
-	s.dead -= deadAtSnap
-	s.stats.Segments = 2 // the snapshot plus the active segment
-	s.mu.Unlock()
-	return finish(nil)
+	s.sinceSync, s.dead = 0, 0
+	s.stats.Segments = 1
+	s.stats.Compactions++
+	return nil
 }
 
-// Close seals the store: the active segment is fsynced and closed, and
-// any in-flight compaction finishes first. Get/Len/Points keep
-// serving from memory; further Puts update only memory.
+// Close seals the store: the segment is fsynced and closed. Get/Len/
+// Points keep serving from memory; further Puts update only memory.
 func (s *DiskStore) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return s.err
 	}
 	s.closed = true
-	s.mu.Unlock()
-	s.compactWG.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.seg != nil {
-		if err := s.seg.Sync(); err != nil {
-			s.fail(fmt.Errorf("service: closing store: %w", err))
-		}
 		if err := s.seg.Close(); err != nil {
 			s.fail(fmt.Errorf("service: closing store: %w", err))
 		}

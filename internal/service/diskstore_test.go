@@ -118,14 +118,14 @@ func TestDiskStoreNoCleanClose(t *testing.T) {
 	}
 }
 
-// TestDiskStoreRotationAndCompaction: a tiny segment budget forces
-// rotation; overwrites accumulate dead records; compaction collapses the
-// sealed segments into one snapshot that still replays completely.
+// TestDiskStoreRotationAndCompaction: overwrites accumulate dead records
+// in the one segment; compaction rewrites it to the live snapshot, which
+// still replays completely.
 func TestDiskStoreRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	keys, points := diskTestData(t)
 
-	s, err := OpenDiskStore(dir, DiskStoreOptions{SegmentBytes: 512})
+	s, err := OpenDiskStore(dir, DiskStoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestDiskStoreRotationAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 3 {
-		t.Fatalf("expected rotation to produce >= 3 segments, got %d", len(segs))
+	if len(segs) != 1 {
+		t.Fatalf("segments before compaction = %v, want one (the store never rotates)", segs)
 	}
 	if d := s.Stats().Dead; d != 2*len(keys) {
 		t.Fatalf("dead records = %d, want %d", d, 2*len(keys))
@@ -151,8 +151,8 @@ func TestDiskStoreRotationAndCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after) != 2 {
-		t.Fatalf("segments after compaction = %v, want snapshot + active", after)
+	if len(after) != 1 || after[0] != segs[0] {
+		t.Fatalf("segments after compaction = %v, want the one segment %v rewritten in place", after, segs)
 	}
 	st := s.Stats()
 	if st.Compactions != 1 {
@@ -511,9 +511,91 @@ func TestDiskStoreRejectsForeignFormat(t *testing.T) {
 	}
 }
 
+// TestDiskStoreLegacySegmentsReplayAndCompact: a directory written while
+// the store still rotated segments holds seg-000001 and seg-000002, with
+// one key overwritten across them. It replays in ascending segment order,
+// last record wins, and Compact leaves exactly the highest segment, which
+// reopens to the identical state.
+func TestDiskStoreLegacySegmentsReplayAndCompact(t *testing.T) {
+	dir := t.TempDir()
+	keys, points := diskTestData(t)
+	if len(points) < 3 {
+		t.Fatalf("need >= 3 test points, have %d", len(points))
+	}
+	// rec names one record as (index into keys, index into points).
+	type rec struct{ key, point int }
+	writeSeg := func(n int, recs ...rec) {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, `{"format":%q,"segment":%d}`+"\n", segmentFormat, n)
+		for _, r := range recs {
+			line, err := encodeRecord(keys[r.key], points[r.point])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Write(line)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seg-%06d.jsonl", n)), b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// keys[0] holds points[0] in segment 1 and points[2] in segment 2.
+	writeSeg(1, rec{0, 0}, rec{1, 1})
+	writeSeg(2, rec{2, 2}, rec{0, 2})
+
+	want := map[string]sweep.Point{keys[0]: points[2], keys[1]: points[1], keys[2]: points[2]}
+	check := func(st *DiskStore, when string) {
+		t.Helper()
+		if st.Len() != len(want) {
+			t.Fatalf("%s: %d points, want %d", when, st.Len(), len(want))
+		}
+		for k, wp := range want {
+			gp, ok := st.Get(k)
+			if !ok {
+				t.Fatalf("%s: key %q missing", when, k)
+			}
+			a, _ := sweep.MarshalPointJSON(gp)
+			b, _ := sweep.MarshalPointJSON(wp)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("%s: key %q holds %s, want %s", when, k, a, b)
+			}
+		}
+	}
+	s, err := OpenDiskStore(dir, DiskStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s, "legacy open")
+	if st := s.Stats(); st.Segments != 2 || st.Dead != 1 {
+		t.Fatalf("legacy open stats = %+v, want 2 segments and 1 dead record", st)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := s.listSegments()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 || segs[0] != 2 {
+		t.Fatalf("segments after compaction = %v, want [2]", segs)
+	}
+	check(s, "compacted")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenDiskStore(dir, DiskStoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	check(r, "reopened")
+	if st := r.Stats(); st.Segments != 1 || st.Dead != 0 || st.CorruptDropped != 0 || st.TornRepaired != 0 {
+		t.Fatalf("reopen after compaction stats = %+v, want one clean segment", st)
+	}
+}
+
 // TestDiskStoreCompactionRacesConcurrentAppends: explicit Compact()
-// calls race a storm of concurrent overwriting appends (tiny segments,
-// so rotation happens constantly under the compactor's feet). The store
+// calls race a storm of concurrent overwriting appends (a low dead-record
+// threshold, so Puts compact constantly too). The store
 // must come out with exactly the last value written per key, no corrupt
 // records, and a clean reopen — compaction may never lose or resurrect
 // a record, no matter how it interleaves with appends.
@@ -521,7 +603,7 @@ func TestDiskStoreCompactionRacesConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	_, points := diskTestData(t)
 
-	s, err := OpenDiskStore(dir, DiskStoreOptions{SegmentBytes: 512, CompactMinDead: 8})
+	s, err := OpenDiskStore(dir, DiskStoreOptions{CompactMinDead: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -794,13 +794,18 @@ func (j *Job) deliver(t *task, p sweep.Point, err error) {
 		delete(j.evalSpans, t)
 	}
 	j.pending--
+	// The task event is emitted before the last delivery closes the job,
+	// so a progress stream sees it ahead of the terminal state.
+	ev := obs.Event{Type: EventTaskDone, Job: j.id, Workload: t.eval.Workload().Name, Label: sweep.Label(t.cfg)}
 	if err != nil {
 		j.failed++
 		j.errs = append(j.errs, err.Error())
+		ev.Type, ev.Err = EventTaskError, err.Error()
 	} else {
 		j.done++
 		j.points = append(j.points, p)
 	}
+	j.m.events.Emit(ev)
 	if j.pending == 0 {
 		j.finalizeLocked()
 	}

@@ -8,13 +8,14 @@ package sweep
 // per line so an interrupted run loses at most the entry being written.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"sync"
+
+	"twolevel/internal/wal"
 )
 
 // journalFormat identifies the checkpoint-journal schema version.
@@ -167,70 +168,52 @@ const maxJournalLine = 4 * 1024 * 1024
 //
 // The one failure an interrupted run legitimately leaves behind — a
 // torn final record, partially written (no trailing newline) when the
-// process died — is recovered, not fatal: the record is dropped and its
-// configuration is simply re-evaluated. Any unreadable record that IS
-// newline-terminated is real corruption and remains an error — such a
-// journal should be deleted and the sweep restarted from scratch.
+// process died — is recovered, not fatal: the record is dropped (even
+// one that happens to parse, since appending after a newline-less line
+// would corrupt both records) and its configuration is simply
+// re-evaluated. Any unreadable record that IS newline-terminated is real
+// corruption and remains an error — such a journal should be deleted and
+// the sweep restarted from scratch.
 func Resume(rd io.Reader) (*ResumeSet, error) {
-	rs, _, err := resume(rd)
-	return rs, err
+	data, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, fmt.Errorf("sweep: reading journal: %w", err)
+	}
+	return resume(wal.Scan(data))
 }
 
-// resume is Resume plus the byte offset at which a dropped torn final
-// record begins (-1 when the journal ends cleanly), so ResumeFile can
-// truncate the tear off before the journal is appended to again.
-func resume(rd io.Reader) (*ResumeSet, int64, error) {
-	br := bufio.NewReaderSize(rd, 64*1024)
-	var off int64
-
-	hdrLine, rerr := br.ReadBytes('\n')
-	if rerr != nil && rerr != io.EOF {
-		return nil, -1, fmt.Errorf("sweep: reading journal: %w", rerr)
+// resume validates a scanned journal. The torn-tail rule is wal's; the
+// records themselves are unframed, so the checkpoint bytes stay those of
+// twolevel-sweep-journal/1.
+func resume(l wal.Log) (*ResumeSet, error) {
+	if l.Header == nil && l.Torn >= 0 {
+		return nil, fmt.Errorf("sweep: journal header is torn (no complete %q line)", journalFormat)
 	}
-	if len(bytes.TrimSpace(hdrLine)) == 0 {
-		return nil, -1, fmt.Errorf("sweep: journal is empty (missing %q header)", journalFormat)
+	if len(bytes.TrimSpace(l.Header)) == 0 {
+		return nil, fmt.Errorf("sweep: journal is empty (missing %q header)", journalFormat)
 	}
 	var hdr journalHeader
-	if err := json.Unmarshal(hdrLine, &hdr); err != nil {
-		return nil, -1, fmt.Errorf("sweep: journal header: %w", err)
+	if err := json.Unmarshal(l.Header, &hdr); err != nil {
+		return nil, fmt.Errorf("sweep: journal header: %w", err)
 	}
 	if hdr.Format != journalFormat {
-		return nil, -1, fmt.Errorf("sweep: unknown journal format %q (want %q)", hdr.Format, journalFormat)
+		return nil, fmt.Errorf("sweep: unknown journal format %q (want %q)", hdr.Format, journalFormat)
 	}
-	off += int64(len(hdrLine))
-
 	rs := &ResumeSet{points: make(map[string]map[string]Point)}
-	for line := 2; ; line++ {
-		raw, rerr := br.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return nil, -1, fmt.Errorf("sweep: reading journal: %w", rerr)
-		}
-		if len(raw) == 0 {
-			break // clean EOF on a record boundary
-		}
+	for i, raw := range l.Records {
+		line := i + 2
 		if len(raw) > maxJournalLine {
-			return nil, -1, fmt.Errorf("sweep: journal line %d exceeds %d bytes", line, maxJournalLine)
-		}
-		start := off
-		off += int64(len(raw))
-		if raw[len(raw)-1] != '\n' {
-			// Only the journal's very last record can lack its
-			// terminator (ReadBytes returns a newline-less line only at
-			// EOF): this is the torn tail of an interrupted run. Drop
-			// the record — even one that happens to parse — because
-			// appending after a newline-less line would corrupt both
-			// records; the configuration is simply re-evaluated.
-			return rs, start, nil
+			return nil, fmt.Errorf("sweep: journal line %d exceeds %d bytes", line, maxJournalLine)
 		}
 		data := bytes.TrimSuffix(raw, []byte("\n"))
 		if len(bytes.TrimSpace(data)) == 0 {
 			continue
 		}
 		if err := readEntry(rs, data); err != nil {
-			return nil, -1, fmt.Errorf("sweep: journal line %d: %w", line, err)
+			return nil, fmt.Errorf("sweep: journal line %d: %w", line, err)
 		}
 	}
-	return rs, -1, nil
+	return rs, nil
 }
 
 // readEntry parses and validates one journal record and stores it in rs.
@@ -260,21 +243,20 @@ func readEntry(rs *ResumeSet, data []byte) error {
 
 // ResumeFile reads a checkpoint journal from disk. A torn final record
 // (see Resume) is additionally truncated off the file, so the journal
-// is safe to keep appending to.
+// is safe to keep appending to; a journal Resume rejects is left as it
+// is.
 func ResumeFile(path string) (*ResumeSet, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: opening journal: %w", err)
+	var rs *ResumeSet
+	var rerr error
+	_, err := wal.ScanFile(path, func(l wal.Log) error {
+		rs, rerr = resume(l)
+		return rerr
+	})
+	if rerr != nil {
+		return nil, rerr
 	}
-	rs, torn, err := resume(f)
-	f.Close()
 	if err != nil {
-		return nil, err
-	}
-	if torn >= 0 {
-		if terr := os.Truncate(path, torn); terr != nil {
-			return nil, fmt.Errorf("sweep: truncating torn journal record: %w", terr)
-		}
+		return nil, fmt.Errorf("sweep: journal: %w", err)
 	}
 	return rs, nil
 }
