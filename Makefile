@@ -25,10 +25,11 @@ race:
 
 # race-repeat reruns the concurrent packages RACE_COUNT times under the
 # race detector with shuffled order, so an interleaving that a single
-# run hits only now and then is caught on most pushes, not a few.
+# run hits only now and then is caught on most pushes, not a few. sweep
+# and figures hold the plan executor's and RunContext's worker pools.
 RACE_COUNT ?= 5
 race-repeat:
-	$(GO) test -race -shuffle=on -count=$(RACE_COUNT) ./internal/cluster/... ./internal/service/...
+	$(GO) test -race -shuffle=on -count=$(RACE_COUNT) ./internal/cluster/... ./internal/service/... ./internal/sweep/... ./internal/figures/...
 
 # cover writes coverage.out and prints the per-package totals; the CI
 # coverage job runs this and logs the per-function breakdown.
@@ -101,8 +102,8 @@ experiments-check:
 	cmp "$$tmp" EXPERIMENTS.md && echo "experiments-check: EXPERIMENTS.md regenerates byte-identical"
 
 # fuzz-smoke runs every native fuzz target in the module (the trace
-# decoders, the internal/wal log decoder and the L1-filter differential
-# oracle) for FUZZTIME each, so inputs the seed corpora miss still get a
+# decoders, the internal/wal log decoder, the L1-filter differential
+# oracle and the plan executor's) for FUZZTIME each, so inputs the seed corpora miss still get a
 # bounded search on every push.
 FUZZTIME ?= 15s
 fuzz-smoke:

@@ -53,6 +53,11 @@ func figureHarness() *figures.Harness {
 func benchFigure(b *testing.B, id string, metrics func(figures.Figure) map[string]float64) {
 	b.Helper()
 	h := figureHarness()
+	// Plan this figure alone (timed): ByID would plan every figure on
+	// the first benchmark's call and leave the others only pricing.
+	if err := h.Plan(id); err != nil {
+		b.Fatal(err)
+	}
 	var f figures.Figure
 	for i := 0; i < b.N; i++ {
 		var err error

@@ -234,7 +234,11 @@ func main() {
 	fmt.Fprintln(out)
 
 	for _, id := range figures.IDs() {
+		// Each figure is a stage span; the first holds the plan that
+		// simulates the whole run (see figures.Harness.Plan).
+		fs := tr.Start(root, "figure", span.Attr{Key: "id", Value: id})
 		f, err := h.ByID(id)
+		fs.End()
 		if err != nil {
 			// Flush the checkpoint before bailing so the completed
 			// configurations survive; a rerun with -resume skips them.
@@ -251,6 +255,7 @@ func main() {
 			flushMetrics()
 			os.Exit(1)
 		}
+		rs := tr.Start(root, "render", span.Attr{Key: "id", Value: id})
 		fmt.Fprintf(out, "## %s — %s\n\n", strings.ToUpper(id[:1])+id[1:], f.Title)
 		claim := claims[id]
 		if claim == "" {
@@ -281,6 +286,7 @@ func main() {
 			}
 			fmt.Fprintln(out)
 		}
+		rs.End()
 	}
 
 	fmt.Fprintln(out, "## Known deviations")

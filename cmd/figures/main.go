@@ -57,6 +57,14 @@ func main() {
 	ids := figures.IDs()
 	if *fig != "all" {
 		ids = strings.Split(*fig, ",")
+		for i := range ids {
+			ids[i] = strings.TrimSpace(ids[i])
+		}
+	}
+	// Plan only the requested figures: ByID alone would plan them all.
+	if err := h.Plan(ids...); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -65,7 +73,6 @@ func main() {
 		}
 	}
 	for _, id := range ids {
-		id = strings.TrimSpace(id)
 		f, err := h.ByID(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -24,12 +24,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +39,49 @@ import (
 	"twolevel/internal/obs"
 	"twolevel/internal/service"
 )
+
+// completionGate wraps a coordinator's handler so a test can stop
+// completion pushes at a moment of its choosing: while refusing, a push
+// is answered 503 before the coordinator sees it, and refuse returns
+// only once the pushes already inside the handler have finished.
+type completionGate struct {
+	next     http.Handler
+	mu       sync.Mutex
+	refusing bool
+	inflight sync.WaitGroup
+}
+
+func (g *completionGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path != "/cluster/v1/complete" {
+		g.next.ServeHTTP(w, r)
+		return
+	}
+	g.mu.Lock()
+	if g.refusing {
+		g.mu.Unlock()
+		writeError(w, http.StatusServiceUnavailable, errors.New("completions refused"))
+		return
+	}
+	g.inflight.Add(1)
+	g.mu.Unlock()
+	defer g.inflight.Done()
+	g.next.ServeHTTP(w, r)
+}
+
+// refuse turns completion pushes away and waits out those in flight.
+func (g *completionGate) refuse() {
+	g.mu.Lock()
+	g.refusing = true
+	g.mu.Unlock()
+	g.inflight.Wait()
+}
+
+// accept lets completion pushes through again.
+func (g *completionGate) accept() {
+	g.mu.Lock()
+	g.refusing = false
+	g.mu.Unlock()
+}
 
 func testJobRequest() service.JobRequest {
 	return service.JobRequest{Workloads: []string{"gcc1"}, Options: clusterOptions()}
@@ -96,7 +141,8 @@ func TestKillCoordinatorMidSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := ln1.Addr().String()
-	hs1 := &http.Server{Handler: coord1.Handler()}
+	gate := &completionGate{next: coord1.Handler()}
+	hs1 := &http.Server{Handler: gate}
 	go hs1.Serve(ln1) //nolint:errcheck // torn down by the kill below
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -129,14 +175,24 @@ func TestKillCoordinatorMidSweepByteIdentical(t *testing.T) {
 	}
 
 	// Kill once the sweep is genuinely mid-flight: at least one point
-	// durably stored AND at least one lease still out.
+	// durably stored AND at least one lease still out. The condition is
+	// sampled with completion pushes refused and none in flight, so no
+	// push can close the last lease between the sample and the kill; a
+	// refused push is retried, like one that hit the dead coordinator.
+	midFlight := func() bool {
+		return reg1.Counter(MetricPointsCompleted).Value() >= 1 && coord1.Stats().LeasesActive >= 1
+	}
 	deadline := time.Now().Add(time.Minute)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("sweep never reached mid-flight state: %+v", coord1.Stats())
 		}
-		if reg1.Counter(MetricPointsCompleted).Value() >= 1 && coord1.Stats().LeasesActive >= 1 {
-			break
+		if midFlight() {
+			gate.refuse()
+			if midFlight() {
+				break
+			}
+			gate.accept()
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -10,6 +10,7 @@ import (
 	"twolevel/internal/spec"
 	"twolevel/internal/sweep"
 	"twolevel/internal/timing"
+	"twolevel/internal/trace"
 )
 
 // Extension figures: experiments the paper motivates but does not plot —
@@ -19,10 +20,6 @@ import (
 
 // evalVariant evaluates one gcc1 configuration variant.
 func (h *Harness) evalVariant(l1KB, l2KB int64, mutate func(*core.Config), opt sweep.Options) sweep.Point {
-	w := mustWorkload("gcc1")
-	opt.Refs = h.cfg.Refs
-	opt.Tech = h.cfg.Tech
-	opt.Memo = &h.memo
 	line := opt.LineSize
 	if line == 0 {
 		line = 16
@@ -38,7 +35,7 @@ func (h *Harness) evalVariant(l1KB, l2KB int64, mutate func(*core.Config), opt s
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return sweep.Evaluate(w, cfg, opt)
+	return h.evaluate(mustWorkload("gcc1"), cfg, opt)
 }
 
 // ExtReplacement compares L2 replacement policies (the paper fixes
@@ -339,9 +336,9 @@ func (h *Harness) ExtSeeds() Figure {
 			L1D: cache.Config{Size: 8 << 10, LineSize: 16, Assoc: 1},
 			L2:  cache.Config{Size: 64 << 10, LineSize: 16, Assoc: 4},
 		}
-		conv := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech, Memo: &h.memo})
+		conv := h.evaluate(w, twoCfg, sweep.Options{})
 		twoCfg.Policy = core.Exclusive
-		excl := sweep.Evaluate(w, twoCfg, sweep.Options{Refs: h.cfg.Refs, Tech: h.cfg.Tech, Policy: core.Exclusive, Memo: &h.memo})
+		excl := h.evaluate(w, twoCfg, sweep.Options{Policy: core.Exclusive})
 
 		wins := excl.TPINS < conv.TPINS
 		stable = stable && wins
@@ -466,25 +463,39 @@ func (h *Harness) ExtBoard() Figure {
 	})
 
 	var tpis []float64
+	// The board-level cache is no core.System the memo can key, so each
+	// size runs as a trace job.
+	type boardRun struct {
+		st         core.Stats
+		bs         core.BoardStats
+		memoryRate float64
+		err        error
+	}
 	for _, kb := range []int64{256, 1024, 4096} {
-		b, err := core.NewBoardSystem(onChip, cache.Config{
-			Size: kb << 10, LineSize: 16, Assoc: 4, Policy: cache.LRU,
+		r := onTrace(h, w, fmt.Sprintf("board/%s/%dK", w.Name, kb), func(refs []trace.Ref) boardRun {
+			b, err := core.NewBoardSystem(onChip, cache.Config{
+				Size: kb << 10, LineSize: 16, Assoc: 4, Policy: cache.LRU,
+			})
+			if err != nil {
+				return boardRun{err: err}
+			}
+			st, bs := b.Run(trace.NewSliceStream(refs))
+			return boardRun{st: st, bs: bs, memoryRate: b.MemoryMissRate()}
 		})
-		if err != nil {
-			f.Notes = append(f.Notes, "WARNING: "+err.Error())
+		if r.err != nil {
+			f.Notes = append(f.Notes, "WARNING: "+r.err.Error())
 			continue
 		}
-		st, bs := b.Run(w.Stream(h.cfg.Refs))
 		hitRate := 0.0
-		if n := bs.BoardHits + bs.BoardMisses; n > 0 {
-			hitRate = float64(bs.BoardHits) / float64(n)
+		if n := r.bs.BoardHits + r.bs.BoardMisses; n > 0 {
+			hitRate = float64(r.bs.BoardHits) / float64(n)
 		}
-		tpi := bm.TPI(st, bs)
+		tpi := bm.TPI(r.st, r.bs)
 		tpis = append(tpis, tpi)
 		f.Rows = append(f.Rows, []string{
 			cache.FormatSize(kb << 10),
 			fmt.Sprintf("%.3f", hitRate),
-			fmt.Sprintf("%.4f", b.MemoryMissRate()),
+			fmt.Sprintf("%.4f", r.memoryRate),
 			fmt.Sprintf("%.3f", tpi),
 		})
 	}
@@ -565,6 +576,12 @@ func (h *Harness) ExtStreamBuffer() Figure {
 		Title:  "Extension: reference [4]'s victim cache + stream buffers vs an exclusive L2 (4KB L1s)",
 		Header: []string{"Workload", "Bare", "+victim(16)", "+stream buffers", "4:32 exclusive"},
 	}
+	// The victim cache and the stream buffers are no core.Systems the
+	// memo can key, so they run as trace jobs.
+	type missRate struct {
+		mr  float64
+		err error
+	}
 	victimRivalsL2 := false
 	for _, name := range []string{"gcc1", "tomcatv"} {
 		w := mustWorkload(name)
@@ -574,19 +591,29 @@ func (h *Harness) ExtStreamBuffer() Figure {
 		}
 		bare := h.simulate(w, bareCfg).GlobalMissRate()
 
-		vc, err := core.NewVictimCacheSystem(4<<10, 16, 16)
-		if err != nil {
-			f.Notes = append(f.Notes, "WARNING: "+err.Error())
+		vc := onTrace(h, w, "victim/"+name, func(refs []trace.Ref) missRate {
+			sys, err := core.NewVictimCacheSystem(4<<10, 16, 16)
+			if err != nil {
+				return missRate{err: err}
+			}
+			return missRate{mr: sys.Run(trace.NewSliceStream(refs)).GlobalMissRate()}
+		})
+		if vc.err != nil {
+			f.Notes = append(f.Notes, "WARNING: "+vc.err.Error())
 			continue
 		}
-		vcMR := vc.Run(w.Stream(h.cfg.Refs)).GlobalMissRate()
-
-		sb, err := core.NewStreamBufferSystem(bareCfg, 4, 4)
-		if err != nil {
-			f.Notes = append(f.Notes, "WARNING: "+err.Error())
+		sb := onTrace(h, w, "streambuf/"+name, func(refs []trace.Ref) missRate {
+			sys, err := core.NewStreamBufferSystem(bareCfg, 4, 4)
+			if err != nil {
+				return missRate{err: err}
+			}
+			return missRate{mr: sys.Run(trace.NewSliceStream(refs)).GlobalMissRate()}
+		})
+		if sb.err != nil {
+			f.Notes = append(f.Notes, "WARNING: "+sb.err.Error())
 			continue
 		}
-		sbMR := sb.Run(w.Stream(h.cfg.Refs)).GlobalMissRate()
+		vcMR, sbMR := vc.mr, sb.mr
 
 		exCfg := bareCfg
 		exCfg.L2 = cache.Config{Size: 32 << 10, LineSize: 16, Assoc: 4}

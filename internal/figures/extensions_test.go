@@ -12,11 +12,14 @@ func TestExtensionIDsRegistered(t *testing.T) {
 	for _, id := range all {
 		reg[id] = true
 	}
+	// One harness: its first ByID plans every figure, so a fresh harness
+	// per ID would simulate the whole study once per extension.
+	h := fastHarness()
 	for _, id := range ExtensionIDs() {
 		if !reg[id] {
 			t.Errorf("extension %q missing from IDs()", id)
 		}
-		if _, err := fastHarness().ByID(id); err != nil {
+		if _, err := h.ByID(id); err != nil {
 			t.Errorf("ByID(%s): %v", id, err)
 		}
 	}

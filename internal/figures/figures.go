@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -102,17 +103,105 @@ func (c Config) withDefaults() Config {
 // sweeps that differ only in pricing (Figs 10–20 re-price the geometries
 // of Figs 5–8) simulate each geometry once. The memo lives and dies with
 // the harness.
+//
+// ByID plans before it simulates: a dry pass over the figures records
+// every stats key and trace job they need, one sweep.Plan executes that
+// work workload by workload, and the figures then render from the
+// filled memo (see Plan).
 type Harness struct {
 	cfg    Config
 	memo   sweep.Memo
 	mu     sync.Mutex
 	sweeps map[string][]sweep.Point
 	err    error // first sweep failure (e.g. cancellation)
+
+	// rec is non-nil only during a dry pass, and collects its work.
+	rec *sweep.Plan
+	// planned holds the figures an executed plan covers, and
+	// planSweeps the runSweep keys whose points that plan journaled.
+	planned    map[string]bool
+	planSweeps map[string]bool
+	// traced holds the trace jobs' results by name (guarded by mu).
+	traced map[string]any
 }
 
 // NewHarness builds a harness.
 func NewHarness(cfg Config) *Harness {
-	return &Harness{cfg: cfg.withDefaults(), sweeps: make(map[string][]sweep.Point)}
+	return &Harness{
+		cfg: cfg.withDefaults(), sweeps: make(map[string][]sweep.Point),
+		planned: make(map[string]bool), planSweeps: make(map[string]bool),
+		traced: make(map[string]any),
+	}
+}
+
+// modelOnly lists the figures that use no trace: Figures 1 and 2 come
+// from the timing model, Figure 21 from a hand-driven hierarchy. A dry
+// pass skips them, so it never simulates.
+var modelOnly = map[string]bool{"fig1": true, "fig2": true, "fig21": true}
+
+// Plan learns the work of the given figures and executes it, so that
+// generating them afterwards only prices and renders. A dry pass calls
+// each figure's generator with recording stand-ins for the harness's
+// simulation paths: they record the stats keys and trace jobs and
+// simulate nothing, emit no events or spans and write no checkpoint.
+// One sweep.Plan then executes that work workload by workload on
+// GOMAXPROCS workers, journaling the sweeps' points to Config.Checkpoint
+// and skipping those Config.Resume holds. Figures an earlier plan
+// covered are left out. ByID plans every figure on its first call, so
+// callers that generate only some figures call Plan with those first.
+// A failed execution is remembered like a failed sweep.
+func (h *Harness) Plan(ids ...string) error {
+	gens := h.generators()
+	var todo []string
+	for _, id := range ids {
+		if gens[id] == nil {
+			return unknownFigure(id)
+		}
+		if !h.planned[id] {
+			h.planned[id] = true
+			todo = append(todo, id)
+		}
+	}
+	if len(todo) == 0 {
+		return nil
+	}
+	sp := h.cfg.Trace.Start(h.cfg.TraceParent, "plan", span.Attr{Key: "figures", Value: strconv.Itoa(len(todo))})
+	defer sp.End()
+	plan := &sweep.Plan{}
+	h.rec = plan
+	for _, id := range todo {
+		if !modelOnly[id] {
+			gens[id]()
+		}
+	}
+	h.rec = nil
+	sp.Annotate("traces", strconv.Itoa(plan.Traces()))
+	sp.Annotate("keys", strconv.Itoa(plan.Keys()))
+	err := plan.Execute(h.context(), &h.memo, sweep.ExecOptions{
+		Metrics: h.cfg.Metrics, Trace: h.cfg.Trace, TraceParent: sp,
+		Checkpoint: h.cfg.Checkpoint, Resume: h.cfg.Resume,
+	})
+	if err != nil {
+		h.fail(err)
+	}
+	return err
+}
+
+// context is the harness's run context.
+func (h *Harness) context() context.Context {
+	if h.cfg.Context == nil {
+		return context.Background()
+	}
+	return h.cfg.Context
+}
+
+// fail remembers the harness's first failure.
+func (h *Harness) fail(err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.err == nil {
+		h.err = err
+	}
 }
 
 // options builds the sweep options for this harness.
@@ -130,7 +219,9 @@ func (h *Harness) options(offNS float64, l2assoc int, pol core.Policy, dual bool
 // runSweep runs (or reuses) the full design-space sweep for one workload
 // under the given options. Failures (cancellation, bad configurations)
 // are remembered on the harness — figure generation continues with the
-// partial points and ByID surfaces the error.
+// partial points and ByID surfaces the error. A dry pass records the
+// sweep and returns no points. A sweep an executed plan covered is
+// answered from the memo and not journaled again.
 func (h *Harness) runSweep(w spec.Workload, opt sweep.Options) []sweep.Point {
 	key := fmt.Sprintf("%s/%v/%d/%v/%v/%d", w.Name, opt.OffChipNS, opt.L2Assoc, opt.Policy, opt.DualPorted, opt.Refs)
 	h.mu.Lock()
@@ -139,40 +230,116 @@ func (h *Harness) runSweep(w spec.Workload, opt sweep.Options) []sweep.Point {
 	if ok {
 		return pts
 	}
-	ctx := h.cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
+	if h.rec != nil {
+		if !h.planSweeps[key] {
+			h.rec.AddSweep(w, opt)
+			h.planSweeps[key] = true
+		}
+		return nil
 	}
-	opt.Checkpoint = h.cfg.Checkpoint
+	if !h.planSweeps[key] {
+		opt.Checkpoint = h.cfg.Checkpoint
+	}
 	opt.Resume = h.cfg.Resume
 	opt.Metrics = h.cfg.Metrics
 	opt.Events = h.cfg.Events
 	opt.Trace = h.cfg.Trace
 	opt.TraceParent = h.cfg.TraceParent
 	opt.Memo = &h.memo
-	pts, err := sweep.RunContext(ctx, w, opt)
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	pts, err := sweep.RunContext(h.context(), w, opt)
 	if err != nil {
-		if h.err == nil {
-			h.err = err
-		}
+		h.fail(err)
 		// Do not memoize a partial sweep.
 		return pts
 	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.sweeps[key] = pts
 	return pts
 }
 
 // simulate returns cfg's Stats over the harness trace length through the
-// harness's stats memo. It panics on an invalid configuration; the
-// figures build only valid ones.
+// harness's stats memo; a dry pass records the key and returns zero
+// Stats, as does a cancelled harness. It panics on an invalid configuration; the figures build only
+// valid ones.
 func (h *Harness) simulate(w spec.Workload, cfg core.Config) core.Stats {
-	st, err := h.memo.Stats(w, h.cfg.Refs, cfg)
+	if h.rec != nil {
+		h.rec.Add(w, h.cfg.Refs, cfg)
+		return core.Stats{}
+	}
+	if h.cancelled() {
+		return core.Stats{}
+	}
+	st, err := h.memo.Stats(w, h.cfg.Refs, cfg, h.cfg.Metrics)
 	if err != nil {
 		panic(err)
 	}
 	return st
+}
+
+// evaluate prices cfg over w's trace at the harness length and
+// technology, with the Stats from the harness's memo; a dry pass records
+// the key and returns an unpriced point, as does a cancelled harness.
+func (h *Harness) evaluate(w spec.Workload, cfg core.Config, opt sweep.Options) sweep.Point {
+	opt.Refs, opt.Tech, opt.Memo, opt.Metrics = h.cfg.Refs, h.cfg.Tech, &h.memo, h.cfg.Metrics
+	if h.rec != nil || h.cancelled() {
+		if h.rec != nil {
+			h.rec.Add(w, opt.Refs, cfg)
+		}
+		return sweep.Point{Config: cfg, Label: sweep.Label(cfg)}
+	}
+	return sweep.Evaluate(w, cfg, opt)
+}
+
+// cancelled reports, and remembers as the harness's failure, that the
+// harness's context is done. The simulation paths then answer with
+// zero Stats instead of simulating: the figure is partial either way,
+// and ByID reports the cancellation.
+func (h *Harness) cancelled() bool {
+	err := h.context().Err()
+	if err != nil {
+		h.fail(err)
+	}
+	return err != nil
+}
+
+// onTrace returns what run computes over w's trace at the harness
+// length, for a figure that needs the raw trace rather than a
+// hierarchy's Stats. name identifies the result and must be unique
+// within the harness. A dry pass adds run to the plan as a trace job and
+// returns the zero T; afterwards onTrace returns the result the executed
+// job stored, executing a plan of that one job when no plan ran it.
+func onTrace[T any](h *Harness, w spec.Workload, name string, run func(refs []trace.Ref) T) T {
+	job := sweep.TraceJob{Name: name, Run: func(_ context.Context, refs []trace.Ref) error {
+		v := run(refs)
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.traced[name] = v
+		return nil
+	}}
+	var zero T
+	if h.rec != nil {
+		h.rec.AddTraceJob(w, h.cfg.Refs, job)
+		return zero
+	}
+	h.mu.Lock()
+	v, ok := h.traced[name]
+	h.mu.Unlock()
+	if !ok {
+		var p sweep.Plan
+		p.AddTraceJob(w, h.cfg.Refs, job)
+		err := p.Execute(h.context(), &h.memo, sweep.ExecOptions{
+			Metrics: h.cfg.Metrics, Trace: h.cfg.Trace, TraceParent: h.cfg.TraceParent,
+		})
+		if err != nil {
+			h.fail(err)
+			return zero
+		}
+		h.mu.Lock()
+		v = h.traced[name]
+		h.mu.Unlock()
+	}
+	return v.(T)
 }
 
 // Err reports the first sweep failure the harness has seen (nil when all
@@ -218,9 +385,12 @@ func (h *Harness) Table1() Figure {
 		Title:  "Test program references",
 		Header: []string{"Program", "Paper instr", "Paper data", "Paper total", "Gen instr frac (paper)", "Gen instr frac (measured)"},
 	}
+	// Any simulation over the trace counts its references; the 1:0
+	// configuration is one the Figure 3/4 sweeps simulate anyway.
+	l1 := cache.Config{Size: 1 << 10, LineSize: 16, Assoc: 1}
 	for _, w := range spec.All() {
-		instr, data := trace.Count(w.Stream(h.cfg.Refs))
-		measured := float64(instr) / float64(instr+data)
+		st := h.simulate(w, core.Config{L1I: l1, L1D: l1})
+		measured := float64(st.InstrRefs) / float64(st.InstrRefs+st.DataRefs)
 		f.Rows = append(f.Rows, []string{
 			w.Name,
 			fmt.Sprintf("%.1fM", float64(w.Table1Instr)/1e6),
@@ -728,9 +898,9 @@ func IDs() []string {
 	return append(ids, ExtensionIDs()...)
 }
 
-// ByID generates the figure with the given identifier.
-func (h *Harness) ByID(id string) (Figure, error) {
-	gens := map[string]func() Figure{
+// generators maps each figure identifier to its generator.
+func (h *Harness) generators() map[string]func() Figure {
+	return map[string]func() Figure{
 		"table1": h.Table1,
 		"fig1":   h.Figure1, "fig2": h.Figure2, "fig3": h.Figure3,
 		"fig4": h.Figure4, "fig5": h.Figure5, "fig6": h.Figure6,
@@ -747,9 +917,28 @@ func (h *Harness) ByID(id string) (Figure, error) {
 		"exttlb": h.ExtTranslation, "extseeds": h.ExtSeeds, "extbank": h.ExtBanked, "extboard": h.ExtBoard,
 		"extwrite": h.ExtWritePolicy, "extstream": h.ExtStreamBuffer,
 	}
-	gen, ok := gens[id]
+}
+
+func unknownFigure(id string) error {
+	return fmt.Errorf("figures: unknown figure %q (have %v)", id, IDs())
+}
+
+// ByID generates the figure with the given identifier. The first call
+// for a figure that uses a trace, on a harness that has not planned yet,
+// plans every figure of IDs (see Plan); a later call for a figure no
+// plan covered plans that figure alone. A figure that uses no trace
+// plans nothing.
+func (h *Harness) ByID(id string) (Figure, error) {
+	gen, ok := h.generators()[id]
 	if !ok {
-		return Figure{}, fmt.Errorf("figures: unknown figure %q (have %v)", id, IDs())
+		return Figure{}, unknownFigure(id)
+	}
+	if !h.planned[id] && !modelOnly[id] {
+		ids := []string{id}
+		if len(h.planned) == 0 {
+			ids = IDs()
+		}
+		h.Plan(ids...) //nolint:errcheck // remembered by the harness; reported below
 	}
 	f := gen()
 	// A sweep failure (cancellation, bad configuration) leaves the figure

@@ -32,7 +32,12 @@ func TestByIDCoversAll(t *testing.T) {
 	// for the cheap figures below; here only resolution is at stake, so
 	// use the cheapest harness and only the model-only figures.)
 	h := fastHarness()
-	for _, id := range []string{"table1", "fig1", "fig2", "fig21"} {
+	ids := []string{"table1", "fig1", "fig2", "fig21"}
+	// Plan only these, or the first ByID would plan every figure.
+	if err := h.Plan(ids...); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
 		f, err := h.ByID(id)
 		if err != nil {
 			t.Fatalf("ByID(%s): %v", id, err)
@@ -208,6 +213,8 @@ func TestEveryFigureGenerates(t *testing.T) {
 // the figure level: rendering every figure through one harness, whose
 // memo answers each later figure's repeated geometries, is byte-identical
 // to rendering each figure through a fresh harness that simulates it all.
+// The fresh harness plans only its one figure, so the test also pins
+// that a narrowed plan renders what the full plan does.
 func TestSharedHarnessMatchesFreshHarness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep in -short mode")
@@ -226,7 +233,11 @@ func TestSharedHarnessMatchesFreshHarness(t *testing.T) {
 	}
 	shared := NewHarness(Config{Refs: refs})
 	for _, id := range IDs() {
-		if got, want := render(shared, id), render(NewHarness(Config{Refs: refs}), id); got != want {
+		fresh := NewHarness(Config{Refs: refs})
+		if err := fresh.Plan(id); err != nil {
+			t.Fatalf("Plan(%s): %v", id, err)
+		}
+		if got, want := render(shared, id), render(fresh, id); got != want {
 			t.Errorf("%s: shared-harness rendering differs from a fresh harness:\n%s\nwant:\n%s", id, got, want)
 		}
 	}

@@ -45,6 +45,9 @@ func withL1PassHook(t *testing.T, hook func(core.Config)) {
 	t.Cleanup(func() { l1PassTestHook = nil })
 }
 
+// noStage opens no stage spans.
+var noStage stageFunc = (*span.Span)(nil).Child
+
 // TestL1FilteredSweepMatchesEvaluate: a RunContext sweep, which replays
 // shared L1 records for conventional and exclusive hierarchies and runs
 // inclusive ones live, is byte-identical to evaluating every point live,
@@ -325,10 +328,10 @@ func TestL1GroupsAndRecordLifetime(t *testing.T) {
 		if len(cfgs) != 3 {
 			t.Errorf("group of %s has %d configurations, want 3", Label(cfgs[0]), len(cfgs))
 		}
-		if _, how, err := g.record(context.Background(), refs, cfgs[0], nil); err != nil || how != l1Recorded {
+		if _, how, err := g.record(context.Background(), refs, cfgs[0], noStage); err != nil || how != l1Recorded {
 			t.Fatalf("first record: %q, %v", how, err)
 		}
-		if _, how, _ := g.record(context.Background(), refs, cfgs[0], nil); how != l1Replayed {
+		if _, how, _ := g.record(context.Background(), refs, cfgs[0], noStage); how != l1Replayed {
 			t.Fatalf("second record: %q, want replayed", how)
 		}
 		for i := range cfgs {

@@ -7,6 +7,7 @@ package sweep
 // only in those fields simulate each geometry once and re-price it.
 
 import (
+	"context"
 	"sync"
 
 	"twolevel/internal/cache"
@@ -51,7 +52,8 @@ func newStatsKey(w spec.Workload, refs uint64, cfg core.Config) statsKey {
 	return statsKey{gen: w.Gen, refs: refs, cfg: cfg}
 }
 
-func (m *Memo) lookup(k statsKey) (core.Stats, bool) {
+// get returns the Stats the memo holds under k.
+func (m *Memo) get(k statsKey) (core.Stats, bool) {
 	if m == nil {
 		return core.Stats{}, false
 	}
@@ -75,24 +77,25 @@ func (m *Memo) store(k statsKey, s core.Stats) {
 
 // Stats returns cfg's Stats over the first refs references of w: from
 // the memo when an earlier simulation stored them under the same stats
-// key, otherwise by simulating and storing the result. A nil memo
-// always simulates.
-func (m *Memo) Stats(w spec.Workload, refs uint64, cfg core.Config) (core.Stats, error) {
-	return m.stats(w, refs, cfg, nil)
-}
-
-// stats is Stats with the simulated hierarchy instrumented on reg.
-func (m *Memo) stats(w spec.Workload, refs uint64, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
+// key, otherwise by executing a Plan of that one key — which streams
+// the trace through a live hierarchy instrumented on reg — and storing
+// the result. The lookup counts in reg's MetricMemoHits or
+// MetricMemoMisses. A nil memo always simulates and counts nothing.
+func (m *Memo) Stats(w spec.Workload, refs uint64, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
 	k := newStatsKey(w, refs, cfg)
-	if s, ok := m.lookup(k); ok {
+	if m == nil {
+		m = &Memo{}
+	} else if s, ok := m.get(k); ok {
+		reg.Counter(MetricMemoHits).Inc()
 		return s, nil
+	} else {
+		reg.Counter(MetricMemoMisses).Inc()
 	}
-	sys, err := core.TryNewSystem(cfg)
-	if err != nil {
+	var p Plan
+	p.Add(w, refs, cfg)
+	if err := p.Execute(context.Background(), m, ExecOptions{Metrics: reg}); err != nil {
 		return core.Stats{}, err
 	}
-	sys.Instrument(reg)
-	s := sys.Run(w.Stream(refs))
-	m.store(k, s)
+	s, _ := m.get(k)
 	return s, nil
 }

@@ -77,8 +77,9 @@ func (e panicError) Error() string { return fmt.Sprintf("panic: %v", e.v) }
 //     crashing it;
 //   - Options.Timeout bounds each configuration and Options.Retries
 //     re-attempts transient failures;
-//   - Options.Checkpoint journals completed points and Options.Resume
-//     skips configurations a previous journal already covers;
+//   - Options.Checkpoint journals completed points, in configuration
+//     order whatever the number of workers, and Options.Resume skips
+//     configurations a previous journal already covers;
 //   - Options.Progress observes completions.
 //
 // On success the error is nil and the points cover the full
@@ -114,10 +115,50 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		done    int
 		skipped int
 		failed  int
+		// fresh marks the points evaluated by this run, which the
+		// checkpoint records; finished marks every configuration whose
+		// outcome is known (resumed ones from the start).
+		fresh    = make([]bool, total)
+		finished = make([]bool, total)
+		next     int // the first configuration not yet past the checkpoint
 	)
 	report := func(ev ProgressEvent) {
 		if opt.Progress != nil {
 			opt.Progress(ev)
+		}
+	}
+	// flush records the fresh points of the finished prefix of the
+	// configurations, so the checkpoint lists points in configuration
+	// order however the workers interleave: a point that finishes early
+	// waits for every configuration before it. With all set it passes
+	// configurations that never finished (the run was cancelled before
+	// they started). The caller holds mu.
+	flush := func(all bool) {
+		if opt.Checkpoint == nil {
+			return
+		}
+		for ; next < total; next++ {
+			if !finished[next] && !all {
+				return
+			}
+			if !fresh[next] {
+				continue
+			}
+			p := points[next]
+			fl := sw.Child("checkpoint-flush", span.Attr{Key: "label", Value: p.Label})
+			ckStart := time.Now()
+			cerr := opt.Checkpoint.Record(key, p)
+			ckDur := time.Since(ckStart)
+			fl.End()
+			met.ckptSeconds.Observe(ckDur.Seconds())
+			if cerr != nil {
+				errs = append(errs, fmt.Errorf("sweep: checkpointing %s: %w", p.Label, cerr))
+				continue
+			}
+			opt.Events.Emit(obs.Event{
+				Type: obs.EventCheckpointFlush, Workload: w.Name,
+				Label: p.Label, DurNS: ckDur.Nanoseconds(),
+			})
 		}
 	}
 
@@ -130,7 +171,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 	for i, cfg := range cfgs {
 		label := Label(cfg)
 		if p, ok := resumed[label]; ok {
-			points[i], have[i] = p, true
+			points[i], have[i], finished[i] = p, true, true
 			// A resumed point's Stats are as good as a fresh simulation's,
 			// so later sweeps sharing its stats key only re-price them.
 			opt.Memo.store(newStatsKey(w, opt.Refs, cfg), p.Stats)
@@ -181,9 +222,10 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 					j.l1.done() // the group's last configuration frees its record
 					mu.Lock()
 					done++
+					finished[j.i] = true
 					switch {
 					case err == nil:
-						points[j.i], have[j.i] = p, true
+						points[j.i], have[j.i], fresh[j.i] = p, true, true
 						met.done.Inc()
 						met.cfgSeconds.Observe(dur.Seconds())
 						cs.Annotate("outcome", "ok")
@@ -192,22 +234,6 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 							Done: done, Total: total, DurNS: dur.Nanoseconds(),
 							Area: p.AreaRbe, TPI: p.TPINS,
 						})
-						if opt.Checkpoint != nil {
-							fl := cs.Child("checkpoint-flush")
-							ckStart := time.Now()
-							cerr := opt.Checkpoint.Record(key, p)
-							ckDur := time.Since(ckStart)
-							fl.End()
-							met.ckptSeconds.Observe(ckDur.Seconds())
-							if cerr != nil {
-								errs = append(errs, fmt.Errorf("sweep: checkpointing %s: %w", p.Label, cerr))
-							} else {
-								opt.Events.Emit(obs.Event{
-									Type: obs.EventCheckpointFlush, Workload: w.Name,
-									Label: label, DurNS: ckDur.Nanoseconds(),
-								})
-							}
-						}
 					case ctx.Err() != nil:
 						// The whole run was cancelled mid-evaluation;
 						// that is reported once below, not per config.
@@ -223,6 +249,7 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 							Done: done, Total: total, Err: err.Error(),
 						})
 					}
+					flush(false)
 					cs.End()
 					report(ProgressEvent{Done: done, Total: total, Label: label, Err: err})
 					mu.Unlock()
@@ -240,6 +267,9 @@ func RunContext(ctx context.Context, w spec.Workload, opt Options) ([]Point, err
 		close(jobs)
 		wg.Wait()
 		met.queueDepth.Set(0)
+		mu.Lock()
+		flush(true)
+		mu.Unlock()
 	}
 
 	completed := make([]Point, 0, total)
@@ -336,7 +366,7 @@ func evaluateOne(ctx context.Context, w spec.Workload, refs *lazyTrace, g *l1Gro
 // l1=recorded, l1=replayed or l1=live (see simulateIn).
 func evaluateGuarded(ctx context.Context, w spec.Workload, refs *lazyTrace, g *l1Group, cfg core.Config, opt Options, met *runMetrics, sp *span.Span) (p Point, err error) {
 	key := newStatsKey(w, opt.Refs, cfg)
-	stats, hit := opt.Memo.lookup(key)
+	stats, hit := opt.Memo.get(key)
 	var tr []trace.Ref
 	var sim *span.Span
 	if hit {
@@ -368,7 +398,7 @@ func evaluateGuarded(ctx context.Context, w spec.Workload, refs *lazyTrace, g *l
 	source := "memo"
 	if !hit {
 		var l1 string
-		if stats, l1, err = simulateIn(ctx, g, tr, cfg, opt.Metrics, sim); err != nil {
+		if stats, l1, err = simulateIn(ctx, g, tr, cfg, opt.Metrics, sim.Child); err != nil {
 			return Point{}, err
 		}
 		opt.Memo.store(key, stats)

@@ -76,7 +76,9 @@ type Options struct {
 	// serialized; the callback must not block for long.
 	Progress func(ProgressEvent)
 	// Checkpoint, when non-nil, journals every completed point so an
-	// interrupted sweep can be continued with Resume.
+	// interrupted sweep can be continued with Resume. Points are
+	// recorded in configuration order, so two runs of the same sweep
+	// write the same bytes whatever Workers is.
 	Checkpoint *Checkpointer
 	// Resume holds points recovered from a checkpoint journal;
 	// configurations already present there are not re-evaluated.
@@ -94,8 +96,8 @@ type Options struct {
 	// under RunContext. Nil costs nothing. Fingerprint ignores it.
 	Events *obs.EventLog
 	// Trace, when non-nil, receives a span tree of the run under
-	// RunContext and Evaluator: sweep → config → attempt → {trace-gen,
-	// simulate → l1-pass, checkpoint-flush}, exportable as Chrome
+	// RunContext and Evaluator: sweep → {config → attempt → {trace-gen,
+	// simulate → l1-pass}, checkpoint-flush}, exportable as Chrome
 	// trace_event JSON. Nil (the default) costs nothing — span methods
 	// degrade to no-ops. Fingerprint ignores it.
 	Trace *span.Tracer
@@ -270,12 +272,12 @@ func Label(cfg core.Config) string {
 }
 
 // Evaluate runs one workload through one configuration and prices it,
-// taking the Stats from Options.Memo when it holds them. It panics on an
+// taking the Stats from Options.Memo (see Memo.Stats). It panics on an
 // invalid configuration (use RunContext, or Config.Validate first, for
 // untrusted input).
 func Evaluate(w spec.Workload, cfg core.Config, opt Options) Point {
 	opt = opt.withDefaults()
-	stats, err := opt.Memo.stats(w, opt.Refs, cfg, opt.Metrics)
+	stats, err := opt.Memo.Stats(w, opt.Refs, cfg, opt.Metrics)
 	if err != nil {
 		panic(err)
 	}
@@ -346,6 +348,34 @@ func simulate(ctx context.Context, refs []trace.Ref, cfg core.Config, reg *obs.R
 	}
 	sys.Instrument(reg)
 	return sys.RunRefs(ctx, refs)
+}
+
+// streamChunk is how many references simulateStream holds at a time.
+const streamChunk = 1 << 14
+
+// simulateStream is simulate over a stream: it holds one chunk of
+// references at a time, so a trace of any length costs constant memory.
+func simulateStream(ctx context.Context, st trace.Stream, cfg core.Config, reg *obs.Registry) (core.Stats, error) {
+	sys, err := core.TryNewSystem(cfg)
+	if err != nil {
+		return core.Stats{}, err
+	}
+	sys.Instrument(reg)
+	chunk := make([]trace.Ref, 0, streamChunk)
+	for {
+		chunk = chunk[:0]
+		for len(chunk) < cap(chunk) {
+			r, ok := st.Next()
+			if !ok {
+				break
+			}
+			chunk = append(chunk, r)
+		}
+		stats, err := sys.RunRefs(ctx, chunk)
+		if err != nil || len(chunk) < cap(chunk) {
+			return stats, err
+		}
+	}
 }
 
 // priceStats turns simulated Stats into a Point: the area and timing
